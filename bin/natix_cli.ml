@@ -454,48 +454,25 @@ let queries_arg =
 (* The span tree of one request, indented by causal depth: wall interval
    on the simulated clock, then the span's total and self I/O from the
    request's private disk stream. *)
-let pp_trace_report ppf (r : Natix_trace.Trace.report) =
-  let open Natix_trace.Trace in
+let pp_trace_report ppf (r : Natix_obs.Trace.report) =
+  let open Natix_obs.Trace in
   Format.fprintf ppf "%s %-6s %-24s queued %.2fms  dur %.2fms  io %dr/%dw/%.2fms" r.trace_id
     r.kind
     (if r.detail = "" then "-" else r.detail)
     r.queued_ms r.dur_ms r.total.reads r.total.writes r.total.io_ms;
-  let depth = Hashtbl.create 16 in
   List.iter
-    (fun (s : span_report) ->
-      let d = match Hashtbl.find_opt depth s.parent with Some d -> d + 1 | None -> 0 in
-      Hashtbl.replace depth s.id d;
+    (fun { span = s; start_ms; total; self } ->
+      let d = s.depth in
       Format.fprintf ppf "@\n  %s%-*s %10.2f ..%10.2f  total %dr/%.2fms  self %dr/%.2fms"
         (String.make (2 * d) ' ')
         (max 1 (26 - (2 * d)))
-        s.name s.start_ms (s.start_ms +. s.dur_ms) s.total.reads s.total.io_ms s.self.reads
-        s.self.io_ms)
+        s.name start_ms (start_ms +. s.dur_ms) total.reads total.io_ms self.reads self.io_ms)
     r.spans;
   match r.plan with
   | None -> ()
   | Some plan ->
     Format.fprintf ppf "@\n";
     List.iter (fun l -> Format.fprintf ppf "@\n  | %s" l) (String.split_on_char '\n' plan)
-
-(* Merge per-request folded stacks into one aggregate profile: identical
-   stacks sum their simulated-µs weights, and the byte order is the
-   sorted stack order, so identical workloads export identical bytes. *)
-let merge_folded reports =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      String.split_on_char '\n' (Natix_trace.Trace.folded r)
-      |> List.iter (fun line ->
-             match String.rindex_opt line ' ' with
-             | None -> ()
-             | Some i ->
-               let stack = String.sub line 0 i in
-               let n = int_of_string (String.sub line (i + 1) (String.length line - i - 1)) in
-               Hashtbl.replace tbl stack
-                 (n + Option.value ~default:0 (Hashtbl.find_opt tbl stack))))
-    reports;
-  let lines = Hashtbl.fold (fun stack n acc -> Printf.sprintf "%s %d" stack n :: acc) tbl [] in
-  String.concat "" (List.map (fun l -> l ^ "\n") (List.sort String.compare lines))
 
 let tenant_arg =
   Arg.(
@@ -559,7 +536,7 @@ let trace_cmd =
           let oc = open_out path in
           List.iter
             (fun r ->
-              output_string oc (Natix_obs.Json.to_string (Natix_trace.Trace.report_to_json r));
+              output_string oc (Natix_obs.Json.to_string (Natix_obs.Trace.report_to_json r));
               output_char oc '\n')
             reports;
           close_out oc;
@@ -568,7 +545,14 @@ let trace_cmd =
         | None -> ()
         | Some path ->
           let oc = open_out path in
-          output_string oc (merge_folded reports);
+          (* One trace per request: span ids are local to each report,
+             and equal stacks across requests sum. *)
+          output_string oc
+            (Natix_obs.Flame.to_string
+               (List.map
+                  (fun (r : Natix_obs.Trace.report) ->
+                    List.map (fun (s : Natix_obs.Trace.span_report) -> s.span) r.spans)
+                  reports));
           close_out oc;
           Printf.printf "wrote folded stacks to %s\n" path)
   in
@@ -683,9 +667,9 @@ let trace_cmd =
     (match folded with
     | None -> ()
     | Some path ->
-      let spans = Natix_prof.Flame.spans_of_events (Natix_obs.Obs.events obs) in
+      let spans = Natix_obs.Flame.spans_of_events (Natix_obs.Obs.events obs) in
       let oc = open_out path in
-      output_string oc (Natix_prof.Flame.to_string spans);
+      output_string oc (Natix_obs.Flame.to_string [ spans ]);
       close_out oc;
       Printf.printf "wrote folded stacks (%d spans) to %s\n" (List.length spans) path);
     match (jsonl, jsonl_sink) with
@@ -1030,8 +1014,8 @@ let top_cmd =
         let reports = Natix_server.Server.trace_reports server in
         let at_ms =
           List.fold_left
-            (fun acc (r : Natix_trace.Trace.report) ->
-              Float.max acc (r.Natix_trace.Trace.submitted_ms +. r.Natix_trace.Trace.dur_ms))
+            (fun acc (r : Natix_obs.Trace.report) ->
+              Float.max acc (r.Natix_obs.Trace.submitted_ms +. r.Natix_obs.Trace.dur_ms))
             0. reports
         in
         Printf.printf "%-24s %8s %10s %10s %10s %10s %8s %s\n" "TENANT" "REQS" "P50-MS"
@@ -1050,9 +1034,9 @@ let top_cmd =
         | slow ->
           Printf.printf "slow requests (>= %.2f sim-ms): %d\n" slow_ms (List.length slow);
           List.iter
-            (fun (r : Natix_trace.Trace.report) ->
-              Printf.printf "  %s %s %s  %.2fms\n" r.Natix_trace.Trace.trace_id
-                r.Natix_trace.Trace.kind r.Natix_trace.Trace.detail r.Natix_trace.Trace.dur_ms)
+            (fun (r : Natix_obs.Trace.report) ->
+              Printf.printf "  %s %s %s  %.2fms\n" r.Natix_obs.Trace.trace_id
+                r.Natix_obs.Trace.kind r.Natix_obs.Trace.detail r.Natix_obs.Trace.dur_ms)
             slow)
   in
   let run store_path queries jobs cold n serve tenant slow_ms =

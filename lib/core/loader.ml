@@ -54,23 +54,19 @@ let insert_preorder store point pre =
 (* BFS over the binary-tree representation: left = first child, right =
    next sibling.  A node can be inserted as soon as its binary parent is
    stored, which determines its insertion point directly.  Queue entries
-   carry the node to insert and its pending right siblings. *)
-let insert_bfs_binary store point pre right_siblings =
-  let queue : (Tree_store.insert_point * pre * pre list) Queue.t = Queue.create () in
-  Queue.add (point, pre, right_siblings) queue;
-  let root = ref None in
+   carry the node to insert and its pending right siblings; the queue may
+   be seeded with several documents' first children (a shared frontier). *)
+let drain_bfs_binary store queue =
   while not (Queue.is_empty queue) do
     let point, pre, right = Queue.pop queue in
     let node = Tree_store.insert_node store point pre.payload in
-    if !root = None then root := Some node;
     (match pre.kids with
     | first :: rest -> Queue.add (Tree_store.First_under node, first, rest) queue
     | [] -> ());
     match right with
     | r :: rr -> Queue.add (Tree_store.After node, r, rr) queue
     | [] -> ()
-  done;
-  Option.get !root
+  done
 
 let insert_fragment store point xml = insert_preorder store point (pre_of_xml store xml)
 
@@ -165,7 +161,9 @@ let load store ~name ?(order = Preorder) (xml : Xml_tree.t) =
            (fun point kid -> Tree_store.After (insert_preorder store point kid))
            (Tree_store.First_under root) kids)
     | Bfs_binary, first :: rest ->
-      ignore (insert_bfs_binary store (Tree_store.First_under root) first rest));
+      let queue = Queue.create () in
+      Queue.add (Tree_store.First_under root, first, rest) queue;
+      drain_bfs_binary store queue);
     root
 
 let load_collection store docs ~order =
@@ -176,7 +174,7 @@ let load_collection store docs ~order =
     (* One shared frontier across every document: the queue is seeded with
        all roots' first children, so level k of every document is inserted
        before level k+1 of any. *)
-    let queue : (Tree_store.insert_point * pre * pre list) Queue.t = Queue.create () in
+    let queue = Queue.create () in
     List.iter
       (fun (name, xml) ->
         match xml with
@@ -188,13 +186,4 @@ let load_collection store docs ~order =
           | first :: rest -> Queue.add (Tree_store.First_under root, first, rest) queue
           | [] -> ()))
       docs;
-    while not (Queue.is_empty queue) do
-      let point, pre, right = Queue.pop queue in
-      let node = Tree_store.insert_node store point pre.payload in
-      (match pre.kids with
-      | f :: fr -> Queue.add (Tree_store.First_under node, f, fr) queue
-      | [] -> ());
-      match right with
-      | r :: rr -> Queue.add (Tree_store.After node, r, rr) queue
-      | [] -> ()
-    done
+    drain_bfs_binary store queue

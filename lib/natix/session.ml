@@ -103,27 +103,6 @@ let open_store ?(options = Options.default) path =
   in
   of_store_with_mon ~index ~mon ~path store
 
-(* Keyword-argument shims over {!Options}: the historical constructor
-   surface, kept so existing call sites keep compiling.  New code should
-   build an [Options.t] (usually [{ Options.default with ... }]) and call
-   the [open_*] constructors. *)
-
-let options ?config ?create_page_size ?index ?monitor ?model () =
-  let d = Options.default in
-  {
-    Options.config;
-    create_page_size = Option.value create_page_size ~default:d.Options.create_page_size;
-    index = Option.value index ~default:d.Options.index;
-    monitor = Option.value monitor ~default:d.Options.monitor;
-    model;
-  }
-
-let open_file ?config ?create_page_size ?index ?monitor path =
-  open_store ~options:(options ?config ?create_page_size ?index ?monitor ()) path
-
-let in_memory ?config ?model ?index ?monitor () =
-  open_memory ~options:(options ?config ?index ?monitor ?model ()) ()
-
 let store t = t.store
 let manager t = t.manager
 let engine t = t.engine
@@ -139,9 +118,6 @@ let close ?(commit = true) t =
 let with_store ?options path fn =
   let t = open_store ?options path in
   Fun.protect ~finally:(fun () -> close t) (fun () -> fn t)
-
-let with_session ?config ?create_page_size ?index ?monitor path fn =
-  with_store ~options:(options ?config ?create_page_size ?index ?monitor ()) path fn
 
 (* Operation records for the monitor *)
 
@@ -368,12 +344,12 @@ let exec t (req : Api.request) : Api.response =
     match req with
     | Api.Ping -> Api.Pong
     | Api.Load { doc; xml; order } -> (
-      match Natix_trace.Trace.span_here "xml.parse" (fun () -> Natix_xml.Xml_parser.parse xml) with
+      match Natix_obs.Trace.span_here "xml.parse" (fun () -> Natix_xml.Xml_parser.parse xml) with
       | exception Natix_xml.Xml_parser.Error { line; col; msg } ->
         Api.Err (Error.Parse (Printf.sprintf "%s:%d:%d: %s" doc line col msg))
       | tree -> (
         match
-          Natix_trace.Trace.span_here "load.store" (fun () -> store_document t ~name:doc ~order tree)
+          Natix_obs.Trace.span_here "load.store" (fun () -> store_document t ~name:doc ~order tree)
         with
         | Ok _ -> Api.Loaded { doc; nodes = Natix_xml.Xml_tree.node_count tree }
         | Error e -> Api.Err e))

@@ -6,7 +6,7 @@
     three constructors:
 
     {[
-      Natix.Session.with_session "plays.natix" (fun s ->
+      Natix.Session.with_store "plays.natix" (fun s ->
           match Natix.Session.query s ~doc:"hamlet" "//ACT[3]//SPEAKER" with
           | Ok hits -> Seq.iter print_hit hits
           | Error e -> prerr_endline (Natix.Error.to_string e))
@@ -21,8 +21,8 @@
     creating a sink-less handle when the configuration has none — so
     sliding-window metrics, per-document accounts and the operation
     flight ring are always live (see {!mon}, {!set_budget},
-    {!dump_flight}).  [~monitor:false] opts out; a custom [config] with
-    its own handle is monitored through that handle. *)
+    {!dump_flight}).  [Options.monitor = false] opts out; a custom
+    [config] with its own handle is monitored through that handle. *)
 
 open Natix_core
 
@@ -67,50 +67,12 @@ val open_memory : ?options:Options.t -> unit -> t
     on exceptions). *)
 val with_store : ?options:Options.t -> string -> (t -> 'a) -> 'a
 
-(** {2 Deprecated keyword-argument constructors}
-
-    Thin shims over the {!Options}-based constructors above, kept for
-    existing call sites.  Each optional argument corresponds to the
-    {!Options.t} field of the same name; defaults are
-    {!Options.default}'s. *)
-
-(** Deprecated alias: {!open_store} with the corresponding
-    {!Options.t} fields. *)
-val open_file :
-  ?config:Config.t ->
-  ?create_page_size:int ->
-  ?index:Document_manager.index_mode ->
-  ?monitor:bool ->
-  string ->
-  t
-
-(** Deprecated alias: {!open_memory} with the corresponding
-    {!Options.t} fields. *)
-val in_memory :
-  ?config:Config.t ->
-  ?model:Natix_store.Io_model.t ->
-  ?index:Document_manager.index_mode ->
-  ?monitor:bool ->
-  unit ->
-  t
-
 (** Wrap an existing store (takes no ownership of closing it).  With
     [monitor] (default [true]) a monitor is attached to the store's
     handle, if it has one — attach at most one session per handle, a
     second attachment would double-feed.  [path] labels flight dumps. *)
 val of_store :
   ?index:Document_manager.index_mode -> ?monitor:bool -> ?path:string -> Tree_store.t -> t
-
-(** Deprecated alias: {!with_store} with the corresponding
-    {!Options.t} fields. *)
-val with_session :
-  ?config:Config.t ->
-  ?create_page_size:int ->
-  ?index:Document_manager.index_mode ->
-  ?monitor:bool ->
-  string ->
-  (t -> 'a) ->
-  'a
 
 (** {2 The bundled layers} *)
 

@@ -18,7 +18,7 @@ type kind =
   | Merge of { rid : Rid.t; absorbed : Rid.t }
   | Proxy_hop of { rid : Rid.t; chain : int }
   | Btree_node of { rid : Rid.t; op : btree_op; leaf : bool }
-  | Span of { name : string; dur_ms : float; id : int; parent : int; depth : int }
+  | Span of Span.t
   | Checksum_fail of { page : int }
   | Read_retry of { page : int; attempt : int }
   | Read_ahead of { first : int; pages : int }
@@ -91,7 +91,7 @@ let kind_fields = function
   | Proxy_hop { rid; chain } -> [ ("rid", rid_json rid); ("chain", Json.Int chain) ]
   | Btree_node { rid; op; leaf } ->
     [ ("rid", rid_json rid); ("op", Json.String (btree_op_name op)); ("leaf", Json.Bool leaf) ]
-  | Span { name; dur_ms; id; parent; depth } ->
+  | Span { Span.name; dur_ms; id; parent; depth } ->
     [
       ("name", Json.String name);
       ("dur_ms", Json.Float dur_ms);

@@ -1,45 +1,20 @@
-open Natix_obs
-
-type span = { id : int; parent : int; name : string; dur_ms : float }
-
 let spans_of_events events =
   List.filter_map
-    (fun (e : Event.t) ->
-      match e.kind with
-      | Event.Span { name; dur_ms; id; parent; depth = _ } -> Some { id; parent; name; dur_ms }
-      | _ -> None)
+    (fun (e : Event.t) -> match e.kind with Event.Span s -> Some s | _ -> None)
     events
-
-let spans_of_json lines =
-  List.filter_map
-    (fun j ->
-      match Json.member "type" j with
-      | Some (Json.String "span") -> (
-        let str k = match Json.member k j with Some (Json.String s) -> Some s | _ -> None in
-        let int k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
-        let num k =
-          match Json.member k j with
-          | Some (Json.Float f) -> Some f
-          | Some (Json.Int i) -> Some (float_of_int i)
-          | _ -> None
-        in
-        match (str "name", num "dur_ms", int "id", int "parent") with
-        | Some name, Some dur_ms, Some id, Some parent -> Some { id; parent; name; dur_ms }
-        | _ -> None)
-      | _ -> None)
-    lines
 
 (* Durations are simulated milliseconds; folded weights must be integers,
    so export simulated microseconds. *)
 let sim_us ms = int_of_float (Float.round (ms *. 1000.))
 
-let folded spans =
+(* Adds the self weights of one trace's spans into [weights]. *)
+let fold_trace weights (spans : Span.t list) =
   let by_id = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace by_id s.id s) spans;
+  List.iter (fun (s : Span.t) -> Hashtbl.replace by_id s.id s) spans;
   (* Self time = own duration minus the durations of direct children. *)
   let children_ms = Hashtbl.create 64 in
   List.iter
-    (fun s ->
+    (fun (s : Span.t) ->
       if s.parent <> 0 && Hashtbl.mem by_id s.parent then
         Hashtbl.replace children_ms s.parent
           (s.dur_ms +. Option.value ~default:0. (Hashtbl.find_opt children_ms s.parent)))
@@ -47,27 +22,30 @@ let folded spans =
   (* Ids are allocated in opening order, so a span's parent always has a
      smaller id and the climb terminates. *)
   let stack_of s =
-    let rec up s acc =
+    let rec up (s : Span.t) acc =
       let acc = s.name :: acc in
       if s.parent = 0 then acc
       else match Hashtbl.find_opt by_id s.parent with Some p -> up p acc | None -> acc
     in
     String.concat ";" (up s [])
   in
-  let weights = Hashtbl.create 64 in
   List.iter
-    (fun s ->
+    (fun (s : Span.t) ->
       let self = s.dur_ms -. Option.value ~default:0. (Hashtbl.find_opt children_ms s.id) in
       let self = if self < 0. then 0. else self in
       let key = stack_of s in
       Hashtbl.replace weights key
         (sim_us self + Option.value ~default:0 (Hashtbl.find_opt weights key)))
-    spans;
+    spans
+
+let folded traces =
+  let weights = Hashtbl.create 64 in
+  List.iter (fold_trace weights) traces;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) weights []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let to_string spans =
+let to_string traces =
   let buf = Buffer.create 256 in
   List.iter (fun (stack, us) -> Buffer.add_string buf (Printf.sprintf "%s %d\n" stack us))
-    (folded spans);
+    (folded traces);
   Buffer.contents buf

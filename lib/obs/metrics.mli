@@ -48,6 +48,24 @@ val histogram : t -> string -> (float array * int array * float * int) option
     [Invalid_argument] if [q] is outside [0, 1]. *)
 val quantile : t -> string -> float -> float option
 
+(** {2 Bucketing primitives}
+
+    Shared with other fixed-edge histograms (the monitoring layer's
+    sliding windows), so every histogram in the system buckets and
+    interpolates alike. *)
+
+(** Edges are non-empty, finite and strictly increasing. *)
+val valid_edges : float array -> bool
+
+(** Index of the upper-inclusive bucket holding [v]: the first edge [e]
+    with [v <= e], or [Array.length edges] (overflow). *)
+val bucket_of : float array -> float -> int
+
+(** {!quantile}'s interpolation over explicit bucket [counts] (one cell
+    per edge plus overflow); [None] when every count is zero.  [q] is
+    not range-checked. *)
+val quantile_of_counts : edges:float array -> int array -> float -> float option
+
 (** Names of all registered counters (resp. histograms), sorted. *)
 val counter_names : t -> string list
 

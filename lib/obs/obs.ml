@@ -98,7 +98,7 @@ let fresh_span_id t =
 let finish_span t name ~id ~parent ~depth ~dur_ms =
   incr t ("span." ^ name);
   observe t span_ms_hist dur_ms;
-  emit t (Event.Span { name; dur_ms; id; parent; depth })
+  emit t (Event.Span { Span.id; parent; depth; name; dur_ms })
 
 let span t name f =
   let t0 = t.now () in

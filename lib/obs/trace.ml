@@ -1,5 +1,3 @@
-module Json = Natix_obs.Json
-
 type io = { reads : int; writes : int; io_ms : float }
 
 let zero_io = { reads = 0; writes = 0; io_ms = 0. }
@@ -125,15 +123,7 @@ let run t ~io body =
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)
 
-type span_report = {
-  id : int;
-  parent : int;
-  name : string;
-  start_ms : float;
-  dur_ms : float;
-  total : io;
-  self : io;
-}
+type span_report = { span : Span.t; start_ms : float; total : io; self : io }
 
 type report = {
   trace_id : string;
@@ -162,24 +152,27 @@ let finish (t : t) =
         let prev = Option.value ~default:zero_io (Hashtbl.find_opt child_sum s.parent) in
         Hashtbl.replace child_sum s.parent (add_io prev (Hashtbl.find totals s.id)))
     spans;
+  (* Parents open before their children, so a parent's depth is known
+     when a child is reached. *)
+  let depth = Hashtbl.create 16 in
   let reports =
     List.map
       (fun (s : span) ->
+        let d = match Hashtbl.find_opt depth s.parent with Some d -> d + 1 | None -> 0 in
+        Hashtbl.replace depth s.id d;
         let total = Hashtbl.find totals s.id in
         let children = Option.value ~default:zero_io (Hashtbl.find_opt child_sum s.id) in
         {
-          id = s.id;
-          parent = s.parent;
-          name = s.name;
+          span =
+            { Span.id = s.id; parent = s.parent; depth = d; name = s.name; dur_ms = s.t1 -. s.t0 };
           start_ms = s.t0;
-          dur_ms = s.t1 -. s.t0;
           total;
           self = sub_io total children;
         })
       spans
   in
   let root_total, root_dur =
-    match reports with [] -> (zero_io, 0.) | r :: _ -> (r.total, r.dur_ms)
+    match reports with [] -> (zero_io, 0.) | r :: _ -> (r.total, r.span.dur_ms)
   in
   {
     trace_id = t.trace_id;
@@ -201,17 +194,17 @@ let io_fields prefix io =
     (prefix ^ "io_ms", Json.Float io.io_ms);
   ]
 
-let span_to_json (s : span_report) =
+let span_to_json { span; start_ms; total; self } =
   Json.Obj
     ([
-       ("id", Json.Int s.id);
-       ("parent", Json.Int s.parent);
-       ("name", Json.String s.name);
-       ("start_ms", Json.Float s.start_ms);
-       ("dur_ms", Json.Float s.dur_ms);
+       ("id", Json.Int span.id);
+       ("parent", Json.Int span.parent);
+       ("name", Json.String span.name);
+       ("start_ms", Json.Float start_ms);
+       ("dur_ms", Json.Float span.dur_ms);
      ]
-    @ io_fields "" s.total
-    @ io_fields "self_" s.self)
+    @ io_fields "" total
+    @ io_fields "self_" self)
 
 let report_to_json (r : report) =
   Json.Obj
@@ -227,35 +220,3 @@ let report_to_json (r : report) =
     @ io_fields "" r.total
     @ (match r.plan with None -> [] | Some p -> [ ("plan", Json.String p) ])
     @ [ ("spans", Json.List (List.map span_to_json r.spans)) ])
-
-(* Same folding rules as Natix_prof.Flame: self weight in integer
-   simulated microseconds, one line per stack, sorted bytewise. *)
-let folded (r : report) =
-  let by_id = Hashtbl.create 16 in
-  List.iter (fun s -> Hashtbl.replace by_id s.id s) r.spans;
-  let rec stack s =
-    if s.parent = 0 then [ s.name ]
-    else
-      match Hashtbl.find_opt by_id s.parent with
-      | None -> [ s.name ]
-      | Some p -> s.name :: stack p
-  in
-  let child_dur = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      if s.parent <> 0 then
-        let prev = Option.value ~default:0. (Hashtbl.find_opt child_dur s.parent) in
-        Hashtbl.replace child_dur s.parent (prev +. s.dur_ms))
-    r.spans;
-  let sim_us ms = int_of_float (Float.round (ms *. 1000.)) in
-  let lines =
-    List.filter_map
-      (fun s ->
-        let children = Option.value ~default:0. (Hashtbl.find_opt child_dur s.id) in
-        let self = sim_us (s.dur_ms -. children) in
-        if self <= 0 then None
-        else
-          Some (Printf.sprintf "%s %d" (String.concat ";" (List.rev (stack s))) self))
-      r.spans
-  in
-  String.concat "\n" (List.sort String.compare lines)

@@ -17,11 +17,12 @@
     tracing moves no simulated figure, which the bench-diff gate
     enforces.
 
-    Layering: this module depends only on [Natix_util]/[Natix_obs]
-    (for JSON) and receives its clocks as closures, so deep layers
-    (the store's group-commit daemon, the server's tenant gate) can
-    depend on it and emit spans through the ambient per-domain trace
-    installed by the dispatcher. *)
+    Layering: this module lives in the observability library and
+    receives its clocks as closures, so deep layers (the store's
+    group-commit daemon, the server's tenant gate, the query engine's
+    operator rows) emit spans through the ambient per-domain trace
+    installed by the dispatcher.  Folded flamegraphs of reports come
+    from {!Flame}. *)
 
 (** Private-stream I/O figures (cumulative or delta). *)
 type io = { reads : int; writes : int; io_ms : float }
@@ -73,9 +74,10 @@ val span_here : string -> (unit -> 'a) -> 'a
     itself (gate blocking, commit queue/fsync decomposition). *)
 val interval : t -> string -> t0:float -> t1:float -> unit
 
-(** [io_child t name ~io ~dur_ms] emits a zero-width child carrying an
-    explicit private-stream I/O delta — used to attach EXPLAIN ANALYZE
-    operator rows as spans. *)
+(** [io_child t name ~io ~dur_ms] emits a closed child of the innermost
+    open span, starting now and lasting [dur_ms], carrying an explicit
+    private-stream I/O delta — how [Natix_query.Engine.analyze_query]
+    attaches EXPLAIN ANALYZE operator rows. *)
 val io_child : t -> string -> io:io -> dur_ms:float -> unit
 
 (** Attach rendered EXPLAIN ANALYZE text (kept for the slow-request
@@ -87,11 +89,8 @@ val set_plan_here : string -> unit
 (** {1 Reports} *)
 
 type span_report = {
-  id : int;  (** ids are assigned in opening order; parents precede children *)
-  parent : int;  (** 0 for the root *)
-  name : string;
+  span : Span.t;  (** ids in opening order: parents precede children; the root's parent is 0 *)
   start_ms : float;
-  dur_ms : float;
   total : io;  (** private-stream delta over the span *)
   self : io;  (** [total] minus the totals of direct children *)
 }
@@ -116,9 +115,4 @@ type report = {
 val finish : t -> report
 
 (** Deterministic single-line JSON rendering (stable field order). *)
-val report_to_json : report -> Natix_obs.Json.t
-
-(** Folded flamegraph lines for one report, ["stack;path value"] with
-    integer simulated-microsecond weights, sorted — the same dialect
-    [Natix_prof.Flame] emits. *)
-val folded : report -> string
+val report_to_json : report -> Json.t

@@ -160,15 +160,22 @@ let analyze_query t ~doc path =
         let last =
           match List.rev accs with [] -> Exec.fresh_acc () | acc :: _ -> acc
         in
-        (match obs with
-        | None -> ()
-        | Some o ->
-          List.iteri
-            (fun i (op : op_report) ->
-              Natix_obs.Obs.child_span o
-                (Printf.sprintf "op%d.%s" (i + 1) (Ast.step_to_string op.step.Plan.step))
-                ~dur_ms:op.sim_ms)
-            ops);
+        (* Operator rows become spans of the store's handle and of the
+           ambient request trace, if any; the trace's probes read
+           [Disk.active_stats] too, so the rows reconcile with the
+           request's private stream. *)
+        let trace = Natix_obs.Trace.active () in
+        List.iteri
+          (fun i (op : op_report) ->
+            let name = Printf.sprintf "op%d.%s" (i + 1) (Ast.step_to_string op.step.Plan.step) in
+            Option.iter (fun o -> Natix_obs.Obs.child_span o name ~dur_ms:op.sim_ms) obs;
+            Option.iter
+              (fun tr ->
+                Natix_obs.Trace.io_child tr name
+                  ~io:{ Natix_obs.Trace.reads = op.reads; writes = 0; io_ms = op.sim_ms }
+                  ~dur_ms:op.sim_ms)
+              trace)
+          ops;
         Ok
           ( hits,
             {

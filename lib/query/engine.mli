@@ -79,7 +79,10 @@ type analysis = {
     {!query}) and report per-operator estimated vs actual cost.  When the
     store has an obs handle the run is wrapped in a ["query.analyze"]
     span with one synthetic child span per operator, and events emitted
-    during it carry a [(doc, "query")] context.
+    during it carry a [(doc, "query")] context.  When a request trace is
+    installed on the calling domain ({!Natix_obs.Trace.active}), each
+    operator row also becomes an ["opN.<step>"] span of that trace,
+    carrying the row's reads and simulated ms.
 
     Counters come from {!Natix_store.Disk.active_stats}, so on a domain
     inside a parallel region the analysis reconciles with that domain's
@@ -90,7 +93,7 @@ val analyze : t -> doc:string -> string -> (analysis, Error.t) result
 (** {!analyze}, also returning the materialised result cursors — one
     execution serves both the reply and the report.  This is what the
     server's traced query path uses: hits for the [Hits] response, the
-    analysis for per-operator spans and the slow-request log. *)
+    analysis for the slow-request log. *)
 val analyze_query :
   t -> doc:string -> string -> (Natix_core.Cursor.t list * analysis, Error.t) result
 

@@ -22,14 +22,14 @@ let create () =
    clock) when it was not.  Sampling happens outside the mutex; the
    tracer is per-domain state and charges nothing. *)
 let gate_now () =
-  match Natix_trace.Trace.active () with
+  match Natix_obs.Trace.active () with
   | None -> 0.
-  | Some tr -> Natix_trace.Trace.clock tr
+  | Some tr -> Natix_obs.Trace.clock tr
 
 let gate_waited name t0 =
-  match Natix_trace.Trace.active () with
+  match Natix_obs.Trace.active () with
   | None -> ()
-  | Some tr -> Natix_trace.Trace.interval tr name ~t0 ~t1:(Natix_trace.Trace.clock tr)
+  | Some tr -> Natix_obs.Trace.interval tr name ~t0 ~t1:(Natix_obs.Trace.clock tr)
 
 let lock_read t =
   let t0 = gate_now () in

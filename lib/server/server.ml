@@ -4,7 +4,7 @@ module Deque = Natix_par.Deque
 module Disk = Natix_store.Disk
 module Io_stats = Natix_store.Io_stats
 module Lock_rank = Natix_store.Lock_rank
-module Trace = Natix_trace.Trace
+module Trace = Natix_obs.Trace
 module Slo = Natix_mon.Slo
 
 type trace_config = {
@@ -136,21 +136,11 @@ let run_query (tenant : Registry.tenant) ~doc ~path ~texts =
       | Ok seq -> Api.Hits (List.map render (List.of_seq seq)))
     | Some tr -> (
       (* Traced: one instrumented execution serves the reply, the
-         per-operator spans and the slow log's EXPLAIN ANALYZE.  The
-         operator rows are [Exec.eval_instrumented]'s, reconciling with
-         this request's private stream because the probes read
-         [Disk.active_stats]. *)
+         per-operator spans (emitted by the engine into the ambient
+         trace) and the slow log's EXPLAIN ANALYZE. *)
       match Natix_query.Engine.analyze_query engine ~doc path with
       | Error e -> Api.Err e
       | Ok (hits, a) ->
-        List.iteri
-          (fun i (op : Natix_query.Engine.op_report) ->
-            Trace.io_child tr
-              (Printf.sprintf "op%d.%s" (i + 1)
-                 (Natix_query.Ast.step_to_string op.step.Natix_query.Plan.step))
-              ~io:{ Trace.reads = op.reads; writes = 0; io_ms = op.sim_ms }
-              ~dur_ms:op.sim_ms)
-          a.Natix_query.Engine.ops;
         Trace.set_plan tr (Natix_query.Engine.analysis_to_string a);
         Api.Hits (List.map render hits))
   in

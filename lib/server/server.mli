@@ -62,7 +62,7 @@ type config = {
       (** turn a tenant's budget-breach latch into [Overloaded] replies *)
   trace : trace_config option;
       (** [Some _] traces every admitted request end to end: a
-          {!Natix_trace.Trace.report} per request — queue wait, gate
+          {!Natix_obs.Trace.report} per request — queue wait, gate
           wait, per-operator execution, commit queue/fsync — whose span
           I/O figures reconcile exactly with the request's private disk
           stream.  The tracer only {e reads} the simulated clock, so
@@ -108,10 +108,10 @@ val stats : t -> stats
     tracing is off. *)
 
 (** Every finished trace report. *)
-val trace_reports : t -> Natix_trace.Trace.report list
+val trace_reports : t -> Natix_obs.Trace.report list
 
 (** Reports whose simulated duration reached [slow_ms]. *)
-val slow_reports : t -> Natix_trace.Trace.report list
+val slow_reports : t -> Natix_obs.Trace.report list
 
 (** Edge-triggered SLO breach events, oldest first.  A tenant fires
     again only after its windowed p99 drops back under target. *)

@@ -60,13 +60,14 @@ let with_latch t f =
    [(i + 1) * page_size]:
 
      [0..4)   magic "NATX"
-     [4..6)   layout version (2 since pages grew trailers)
+     [4..6)   layout version (2 since pages grew trailers, 3 since every
+              slotted-page record reserves a tombstone's bytes)
      [6..8)   zero padding
      [8..12)  page size
      [12..16) allocated page count *)
 let superblock_magic = 0x4e415458 (* "NATX" *)
 
-let superblock_version = 2
+let superblock_version = 3
 let superblock_size = 16
 
 let check_page_size page_size =

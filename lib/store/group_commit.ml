@@ -75,8 +75,8 @@ let with_lock t f =
    tracer never charges the clock, so traced and untraced commits cost
    identical simulated time. *)
 let commit t ~lsn =
-  let trace = Natix_trace.Trace.active () in
-  let tnow () = match trace with None -> 0. | Some tr -> Natix_trace.Trace.clock tr in
+  let trace = Natix_obs.Trace.active () in
+  let tnow () = match trace with None -> 0. | Some tr -> Natix_obs.Trace.clock tr in
   let entered = tnow () in
   let led = ref None in
   let result =
@@ -128,7 +128,7 @@ let commit t ~lsn =
   | Some tr -> (
     match !led with
     | Some (f0, f1) ->
-      Natix_trace.Trace.interval tr "commit.queue" ~t0:entered ~t1:f0;
-      Natix_trace.Trace.interval tr "commit.fsync" ~t0:f0 ~t1:f1
-    | None -> Natix_trace.Trace.interval tr "commit.queue" ~t0:entered ~t1:(tnow ())));
+      Natix_obs.Trace.interval tr "commit.queue" ~t0:entered ~t1:f0;
+      Natix_obs.Trace.interval tr "commit.fsync" ~t0:f0 ~t1:f1
+    | None -> Natix_obs.Trace.interval tr "commit.queue" ~t0:entered ~t1:(tnow ())));
   result

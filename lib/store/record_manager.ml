@@ -22,10 +22,10 @@ let tombstone_body rid =
    [owner] pins the allocation arena (else it follows [near]'s page, else
    the shared arena — see {!Segment.find_space}).
    [Slotted_page.free_for_insert] (which the inventory tracks) already
-   accounts for the slot entry, so the requirement is exactly the data
-   length. *)
+   accounts for the slot entry, so the requirement is exactly the data's
+   extent. *)
 let place t ?owner ?near ?policy data flags =
-  let need = String.length data in
+  let need = Slotted_page.extent (String.length data) in
   let page = Segment.find_space t.seg ?owner ?near ?policy need in
   Segment.with_page_mut t.seg page (fun b ->
       match Slotted_page.insert b data flags with
@@ -77,67 +77,30 @@ let home_page t rid =
 let try_write t page slot data flags =
   Segment.with_page_mut t.seg page (fun b -> Slotted_page.write b slot data flags)
 
-(* Make room on a full page by forwarding one resident record (larger
-   than a tombstone, unflagged) to another page; its slot keeps a
-   tombstone, so its RID stays valid.  Returns false when no suitable
-   victim exists. *)
-let evict_one t page ~avoid =
-  let victim =
-    Segment.with_page t.seg page (fun b ->
-        let found = ref None in
-        Slotted_page.iter b (fun slot _off len flags ->
-            if
-              !found = None && slot <> avoid
-              && len > Rid.encoded_size
-              && (not flags.Slotted_page.forward)
-              && not flags.Slotted_page.moved
-            then found := Some slot);
-        !found)
+(* Move [rid]'s body to a fresh place in its home page's arena and point
+   its slot at it.  Every slot reserves at least a tombstone's bytes
+   (see [Slotted_page.extent]), so the forward always fits and the moved
+   body can never be stranded. *)
+let relocate t rid data =
+  let target =
+    place t ~owner:(Segment.owner_of t.seg (Rid.page rid)) data Slotted_page.moved_flag
   in
-  match victim with
-  | None -> false
-  | Some slot ->
-    let rid = Rid.make ~page ~slot in
-    let body = read t rid in
-    (* The victim stays in its document's arena: relocation must not
-       leak a page of one arena into another writer's working set. *)
-    let target = place t ~owner:(Segment.owner_of t.seg page) body Slotted_page.moved_flag in
-    (match t.obs with
-    | None -> ()
-    | Some obs ->
-      Natix_obs.Obs.emit obs
-        (Natix_obs.Event.Record_relocate { rid; target; bytes = String.length body }));
-    if not (try_write t page slot (tombstone_body target) Slotted_page.forward_flag) then
-      failwith "Record_manager: victim eviction failed";
-    true
+  (match t.obs with
+  | None -> ()
+  | Some obs ->
+    Natix_obs.Obs.emit obs
+      (Natix_obs.Event.Record_relocate { rid; target; bytes = String.length data }));
+  let forwarded =
+    try_write t (Rid.page rid) (Rid.slot rid) (tombstone_body target) Slotted_page.forward_flag
+  in
+  assert forwarded
 
 let update t rid data =
   check_len t data;
   match forward_target t rid with
   | None ->
-    if not (try_write t (Rid.page rid) (Rid.slot rid) data Slotted_page.no_flags) then begin
-      (* Move the record out and leave a tombstone.  A tombstone fits
-         whenever the old body was at least 8 bytes; a smaller body on a
-         completely full page needs room made first by evicting a
-         neighbouring record.  The moved body stays in the home page's
-         arena. *)
-      let target =
-        place t ~owner:(Segment.owner_of t.seg (Rid.page rid)) data Slotted_page.moved_flag
-      in
-      (match t.obs with
-      | None -> ()
-      | Some obs ->
-        Natix_obs.Obs.emit obs
-          (Natix_obs.Event.Record_relocate { rid; target; bytes = String.length data }));
-      let tombstone = tombstone_body target in
-      let rec settle () =
-        if not (try_write t (Rid.page rid) (Rid.slot rid) tombstone Slotted_page.forward_flag)
-        then
-          if evict_one t (Rid.page rid) ~avoid:(Rid.slot rid) then settle ()
-          else failwith "Record_manager.update: cannot place tombstone"
-      in
-      settle ()
-    end
+    if not (try_write t (Rid.page rid) (Rid.slot rid) data Slotted_page.no_flags) then
+      relocate t rid data
   | Some target ->
     (* Try the current out-of-home location first. *)
     if not (try_write t (Rid.page target) (Rid.slot target) data Slotted_page.moved_flag) then begin
@@ -148,20 +111,7 @@ let update t rid data =
       in
       Segment.with_page_mut t.seg (Rid.page target) (fun b ->
           Slotted_page.delete b (Rid.slot target));
-      if not home_fits then begin
-        let fresh =
-          place t ~owner:(Segment.owner_of t.seg (Rid.page rid)) data Slotted_page.moved_flag
-        in
-        (match t.obs with
-        | None -> ()
-        | Some obs ->
-          Natix_obs.Obs.emit obs
-            (Natix_obs.Event.Record_relocate { rid; target = fresh; bytes = String.length data }));
-        let ok =
-          try_write t (Rid.page rid) (Rid.slot rid) (tombstone_body fresh) Slotted_page.forward_flag
-        in
-        if not ok then failwith "Record_manager.update: cannot repoint tombstone"
-      end
+      if not home_fits then relocate t rid data
     end
 
 let patch t rid ~off data =

@@ -20,6 +20,11 @@ val slot_size : int
 (** Largest record storable on an otherwise empty page of [page_size]. *)
 val max_record_len : page_size:int -> int
 
+(** Data-area bytes a record of [len] bytes occupies: [len], but at least
+    a RID's encoded size, so every record can be replaced in place by a
+    forwarding tombstone. *)
+val extent : int -> int
+
 (** Initialise an all-zero page as an empty slotted page. *)
 val format : bytes -> unit
 
@@ -29,7 +34,7 @@ val slot_count : bytes -> int
 val live_count : bytes -> int
 
 (** Bytes available for inserting one new record (slot entry accounted for;
-    assumes compaction may run). *)
+    assumes compaction may run).  A record fits when its {!extent} does. *)
 val free_for_insert : bytes -> int
 
 (** Total free bytes including fragmentation gaps (excluding slot reuse). *)

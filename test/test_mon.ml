@@ -46,7 +46,11 @@ let play_xml name =
 let parse = Natix_xml.Xml_parser.parse
 
 let session_with_docs ?buffer_bytes names =
-  let s = Natix.Session.in_memory ~config:(config ?buffer_bytes ()) () in
+  let s =
+    Natix.Session.open_memory
+      ~options:{ Natix.Session.Options.default with config = Some (config ?buffer_bytes ()) }
+      ()
+  in
   List.iter
     (fun name ->
       match Natix.Session.store_document s ~name (parse (play_xml name)) with
@@ -483,7 +487,12 @@ let session_tests =
         Alcotest.(check string) "json" j1 j2;
         Alcotest.(check bool) "non-trivial export" true (String.length p1 > 100));
     Alcotest.test_case "monitor off: no handle is injected, no ring exists" `Quick (fun () ->
-        let s = Natix.Session.in_memory ~config:(config ()) ~monitor:false () in
+        let s =
+          Natix.Session.open_memory
+            ~options:
+              { Natix.Session.Options.default with config = Some (config ()); monitor = false }
+            ()
+        in
         Alcotest.(check bool) "no monitor" true (Natix.Session.mon s = None);
         Alcotest.(check bool) "no handle" true
           (Tree_store.obs (Natix.Session.store s) = None);

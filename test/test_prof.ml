@@ -60,8 +60,8 @@ let quantile_tests =
 (* ------------------------------------------------------------------ *)
 (* Span nesting and operation context in the obs layer *)
 
-(* (name, dur_ms, id, parent, depth) — the Span payload is an inline
-   record, so it is flattened into a tuple here. *)
+(* (name, dur_ms, id, parent, depth), flattened into a tuple so the
+   checks below compare plain values. *)
 let spans_of obs =
   List.filter_map
     (fun (e : Event.t) ->
@@ -189,7 +189,8 @@ let heat_tests =
 (* ------------------------------------------------------------------ *)
 (* Folded flamegraph export *)
 
-let span id parent name dur_ms = { Flame.id; parent; name; dur_ms }
+(* Flame folds by (id, parent) alone; depth is left at 0. *)
+let span id parent name dur_ms = { Span.id; parent; depth = 0; name; dur_ms }
 
 let flame_tests =
   [
@@ -198,20 +199,12 @@ let flame_tests =
           [ span 3 2 "grand" 1.; span 2 1 "child" 4.; span 1 0 "root" 10. ]
         in
         Alcotest.(check string) "folded"
-          "root 6000\nroot;child 3000\nroot;child;grand 1000\n" (Flame.to_string spans));
+          "root 6000\nroot;child 3000\nroot;child;grand 1000\n" (Flame.to_string [ spans ]));
     Alcotest.test_case "zero-self stacks are kept" `Quick (fun () ->
         let spans = [ span 2 1 "all" 5.; span 1 0 "root" 5. ] in
         Alcotest.(check (list (pair string int))) "weights"
           [ ("root", 0); ("root;all", 5000) ]
-          (Flame.folded spans));
-    Alcotest.test_case "json spans roundtrip through the exporter" `Quick (fun () ->
-        let obs = Obs.create ~sink:(Sink.ring ()) () in
-        Obs.span obs "a" (fun () -> Obs.span obs "b" (fun () -> ()));
-        let lines = List.map Event.to_json (Obs.events obs) in
-        let from_json = Flame.spans_of_json lines in
-        let from_events = Flame.spans_of_events (Obs.events obs) in
-        Alcotest.(check string) "same folded output" (Flame.to_string from_events)
-          (Flame.to_string from_json));
+          (Flame.folded [ spans ]));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -308,7 +301,7 @@ let analyze_tests =
         Alcotest.(check bool) "renders estimates" true
           (contains txt "(est "));
     Alcotest.test_case "session facade exposes analyze" `Quick (fun () ->
-        let session = Natix.Session.in_memory () in
+        let session = Natix.Session.open_memory () in
         (match
            Natix.Session.store_document session ~name:"d"
              (Natix_xml.Xml_tree.element "r"
@@ -331,8 +324,8 @@ let doctor_tests =
         let store2, _, obs2 = instrumented_store () in
         let r1 = Doctor.run store1 and r2 = Doctor.run store2 in
         Alcotest.(check string) "doctor deterministic" r1 r2;
-        let f1 = Flame.to_string (Flame.spans_of_events (Obs.events obs1)) in
-        let f2 = Flame.to_string (Flame.spans_of_events (Obs.events obs2)) in
+        let f1 = Flame.to_string [ Flame.spans_of_events (Obs.events obs1) ] in
+        let f2 = Flame.to_string [ Flame.spans_of_events (Obs.events obs2) ] in
         Alcotest.(check string) "folded deterministic" f1 f2;
         Alcotest.(check bool) "folded non-empty" true (String.length f1 > 0));
     Alcotest.test_case "report covers store, documents, fill and heat" `Quick (fun () ->

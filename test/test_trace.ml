@@ -10,7 +10,9 @@ module Api = Natix.Api
 module Registry = Natix_server.Registry
 module Rw_lock = Natix_server.Rw_lock
 module Server = Natix_server.Server
-module Trace = Natix_trace.Trace
+module Trace = Natix_obs.Trace
+module Span = Natix_obs.Span
+module Flame = Natix_obs.Flame
 module Slo = Natix_mon.Slo
 module Recorder = Natix_mon.Recorder
 module Io_stats = Natix_store.Io_stats
@@ -42,7 +44,11 @@ let play_xml name =
 let cold s = Tree_store.clear_buffers (Natix.Session.store s)
 
 let session_with_docs names =
-  let s = Natix.Session.in_memory ~config:(config ()) () in
+  let s =
+    Natix.Session.open_memory
+      ~options:{ Natix.Session.Options.default with config = Some (config ()) }
+      ()
+  in
   List.iter
     (fun doc ->
       match
@@ -67,23 +73,28 @@ let wait_for what f =
   in
   go ()
 
+let spans_of (r : Trace.report) = List.map (fun (s : Trace.span_report) -> s.span) r.spans
+
+(* Folded stacks of trace reports, through the one exporter. *)
+let folded reports = Flame.to_string (List.map spans_of reports)
+
 let close_ms a b = Float.abs (a -. b) <= 1e-9 *. (1. +. Float.abs a)
 
 let find_span name (r : Trace.report) =
-  match List.find_opt (fun (s : Trace.span_report) -> s.Trace.name = name) r.Trace.spans with
+  match List.find_opt (fun (s : Trace.span_report) -> s.span.name = name) r.Trace.spans with
   | Some s -> s
   | None ->
     Alcotest.failf "span %s missing; have [%s]" name
-      (String.concat "; " (List.map (fun (s : Trace.span_report) -> s.Trace.name) r.Trace.spans))
+      (String.concat "; " (List.map (fun (s : Trace.span_report) -> s.span.name) r.Trace.spans))
 
 let has_span name (r : Trace.report) =
-  List.exists (fun (s : Trace.span_report) -> s.Trace.name = name) r.Trace.spans
+  List.exists (fun (s : Trace.span_report) -> s.span.name = name) r.Trace.spans
 
 let has_span_prefix p (r : Trace.report) =
   List.exists
     (fun (s : Trace.span_report) ->
-      String.length s.Trace.name >= String.length p
-      && String.sub s.Trace.name 0 (String.length p) = p)
+      String.length s.span.name >= String.length p
+      && String.sub s.span.name 0 (String.length p) = p)
     r.Trace.spans
 
 (* The reconciliation invariant every report must satisfy: the root
@@ -94,15 +105,15 @@ let check_reconciles (r : Trace.report) =
   (match r.Trace.spans with
   | [] -> Alcotest.failf "%s: no spans" r.Trace.trace_id
   | root :: rest ->
-    Alcotest.(check string) "root span name" "request" root.Trace.name;
-    Alcotest.(check int) "root parent" 0 root.Trace.parent;
+    Alcotest.(check string) "root span name" "request" root.span.name;
+    Alcotest.(check int) "root parent" 0 root.span.parent;
     Alcotest.(check bool) "root duration covers queue wait" true
-      (close_ms root.Trace.dur_ms r.Trace.dur_ms && r.Trace.dur_ms >= r.Trace.queued_ms);
+      (close_ms root.span.dur_ms r.Trace.dur_ms && r.Trace.dur_ms >= r.Trace.queued_ms);
     List.iter
       (fun (s : Trace.span_report) ->
-        if not (s.Trace.parent >= 1 && s.Trace.parent < s.Trace.id) then
-          Alcotest.failf "%s: span %s (id %d) has parent %d" r.Trace.trace_id s.Trace.name
-            s.Trace.id s.Trace.parent)
+        if not (s.span.parent >= 1 && s.span.parent < s.span.id) then
+          Alcotest.failf "%s: span %s (id %d) has parent %d" r.Trace.trace_id s.span.name
+            s.span.id s.span.parent)
       rest);
   let sum =
     List.fold_left
@@ -126,7 +137,7 @@ let check_reconciles (r : Trace.report) =
 (* A scripted trace with known figures: submitted at 0, picked up at 2,
    one exec span [2,8] reading 5 pages with one operator row [6,7]
    claiming 3 of them, root closing at 9. *)
-let scripted () =
+let scripted ?(op = "op1.scan") ?(op_ms = 1.) () =
   let now = ref 0. in
   let reads = ref 0 in
   let io () = { Trace.reads = !reads; writes = 0; io_ms = 0. } in
@@ -138,8 +149,7 @@ let scripted () =
   Trace.run tr ~io (fun () ->
       Trace.span tr "exec.query" (fun () ->
           now := 6.;
-          Trace.io_child tr "op1.scan" ~io:{ Trace.reads = 3; writes = 0; io_ms = 0. }
-            ~dur_ms:1.;
+          Trace.io_child tr op ~io:{ Trace.reads = 3; writes = 0; io_ms = 0. } ~dur_ms:op_ms;
           reads := 5;
           now := 8.);
       now := 9.);
@@ -154,18 +164,18 @@ let unit_tests =
         Alcotest.(check int) "total reads" 5 r.Trace.total.Trace.reads;
         Alcotest.(check (list string)) "opening order"
           [ "request"; "queue.wait"; "exec.query"; "op1.scan" ]
-          (List.map (fun (s : Trace.span_report) -> s.Trace.name) r.Trace.spans);
+          (List.map (fun (s : Trace.span_report) -> s.span.name) r.Trace.spans);
         let root = find_span "request" r in
         let qw = find_span "queue.wait" r in
         let ex = find_span "exec.query" r in
         let op = find_span "op1.scan" r in
-        Alcotest.(check int) "queue.wait under root" root.Trace.id qw.Trace.parent;
-        Alcotest.(check int) "exec under root" root.Trace.id ex.Trace.parent;
-        Alcotest.(check int) "operator under exec" ex.Trace.id op.Trace.parent;
-        Alcotest.(check (float 1e-9)) "queue.wait duration" 2. qw.Trace.dur_ms;
+        Alcotest.(check int) "queue.wait under root" root.span.id qw.span.parent;
+        Alcotest.(check int) "exec under root" root.span.id ex.span.parent;
+        Alcotest.(check int) "operator under exec" ex.span.id op.span.parent;
+        Alcotest.(check (float 1e-9)) "queue.wait duration" 2. qw.span.dur_ms;
         Alcotest.(check int) "queue.wait moves no io" 0 qw.Trace.total.Trace.reads;
         Alcotest.(check (float 1e-9)) "exec start" 2. ex.Trace.start_ms;
-        Alcotest.(check (float 1e-9)) "exec duration" 6. ex.Trace.dur_ms;
+        Alcotest.(check (float 1e-9)) "exec duration" 6. ex.span.dur_ms;
         Alcotest.(check int) "exec total" 5 ex.Trace.total.Trace.reads;
         Alcotest.(check int) "exec self = total - operator rows" 2 ex.Trace.self.Trace.reads;
         Alcotest.(check int) "operator total" 3 op.Trace.total.Trace.reads;
@@ -177,11 +187,31 @@ let unit_tests =
           "request 1000\n\
            request;exec.query 5000\n\
            request;exec.query;op1.scan 1000\n\
-           request;queue.wait 2000"
-          (Trace.folded r);
+           request;queue.wait 2000\n"
+          (folded [ r ]);
         Alcotest.(check string) "json is deterministic"
           (Json.to_string (Trace.report_to_json (scripted ())))
           (Json.to_string (Trace.report_to_json r)));
+    Alcotest.test_case "folding reports with overlapping ids sums per-report stacks" `Quick
+      (fun () ->
+        (* Both reports number their spans 1..4; the second has a longer
+           operator row and one stack the first lacks. *)
+        let a = scripted () and b = scripted ~op:"op1.index" ~op_ms:2.5 () in
+        let ids r = List.map (fun (s : Span.t) -> s.id) (spans_of r) in
+        Alcotest.(check (list int)) "ids overlap" (ids a) (ids b);
+        let summed = Hashtbl.create 8 in
+        List.iter
+          (fun (stack, w) ->
+            let prev = Option.value ~default:0 (Hashtbl.find_opt summed stack) in
+            Hashtbl.replace summed stack (prev + w))
+          (Flame.folded [ spans_of a ] @ Flame.folded [ spans_of b ]);
+        let expected = List.sort compare (List.of_seq (Hashtbl.to_seq summed)) in
+        let merged = Flame.folded [ spans_of a; spans_of b ] in
+        Alcotest.(check (list (pair string int))) "merged = per-report sums" expected merged;
+        let root_us r = int_of_float (Float.round (r.Trace.dur_ms *. 1000.)) in
+        Alcotest.(check int) "total weight = sum of root durations (us)"
+          (root_us a + root_us b)
+          (List.fold_left (fun acc (_, w) -> acc + w) 0 merged));
     Alcotest.test_case "ambient install, restore, and exception safety" `Quick (fun () ->
         Alcotest.(check bool) "no ambient trace outside run" true (Trace.active () = None);
         let now = ref 0. in
@@ -204,8 +234,8 @@ let unit_tests =
         let r = Trace.finish tr in
         List.iter
           (fun (s : Trace.span_report) ->
-            if Float.is_nan s.Trace.dur_ms then
-              Alcotest.failf "span %s left open through the exception" s.Trace.name)
+            if Float.is_nan s.span.dur_ms then
+              Alcotest.failf "span %s left open through the exception" s.span.name)
           r.Trace.spans;
         Alcotest.(check bool) "raising span recorded" true (has_span "exec.boom" r);
         Alcotest.(check (float 1e-9)) "root closed at raise time" 3. r.Trace.dur_ms);
@@ -314,7 +344,37 @@ let server_tests =
               r.Trace.total.Trace.writes;
             Alcotest.(check bool) "global sim-ms delta" true
               (close_ms (after.Io_stats.sim_ms -. before.Io_stats.sim_ms) r.Trace.total.Trace.io_ms);
-            check_reconciles r));
+            check_reconciles r;
+            (* The engine emits each EXPLAIN ANALYZE row into the ambient
+               trace exactly once; a cold re-run of the same analysis
+               reproduces the rows' reads. *)
+            cold s;
+            let engine = Natix_query.Engine.create (Tree_store.reader store) in
+            let ops =
+              match Natix_query.Engine.analyze_query engine ~doc:"a" "//SPEAKER" with
+              | Ok (_, a) -> a.Natix_query.Engine.ops
+              | Error e -> Alcotest.fail (Error.to_string e)
+            in
+            Alcotest.(check int) "one span per operator row" (List.length ops)
+              (List.length
+                 (List.filter (fun (sp : Span.t) -> String.starts_with ~prefix:"op" sp.name)
+                    (spans_of r)));
+            List.iteri
+              (fun i (op : Natix_query.Engine.op_report) ->
+                let name =
+                  Printf.sprintf "op%d.%s" (i + 1)
+                    (Natix_query.Ast.step_to_string op.step.Natix_query.Plan.step)
+                in
+                let named (sp : Trace.span_report) = sp.span.name = name in
+                match List.filter named r.Trace.spans with
+                | [ sp ] ->
+                  Alcotest.(check int) (name ^ " reads") op.reads sp.Trace.total.Trace.reads;
+                  Alcotest.(check int) (name ^ " parent is exec.query")
+                    (find_span "exec.query" r).span.id sp.span.parent
+                | l -> Alcotest.failf "%s: %d spans" name (List.length l))
+              ops;
+            Alcotest.(check bool) "the operator rows read pages" true
+              (List.exists (fun (op : Natix_query.Engine.op_report) -> op.reads > 0) ops)));
     Alcotest.test_case "twin runs export byte-identical traces" `Quick (fun () ->
         let run_once () =
           with_traced_server ~jobs:0 (fun server s ->
@@ -322,7 +382,7 @@ let server_tests =
               call_mix server;
               let reports = Server.trace_reports server in
               ( List.map (fun r -> Json.to_string (Trace.report_to_json r)) reports,
-                List.map Trace.folded reports ))
+                List.map (fun r -> folded [ r ]) reports ))
         in
         let json1, folded1 = run_once () in
         let json2, folded2 = run_once () in
@@ -431,18 +491,18 @@ let commit_tests =
                 let parent = find_span "load.store" r in
                 let queue = find_span "commit.queue" r in
                 let fsync = find_span "commit.fsync" r in
-                Alcotest.(check int) "commit.queue under the store span" parent.Trace.id
-                  queue.Trace.parent;
-                Alcotest.(check int) "commit.fsync under the store span" parent.Trace.id
-                  fsync.Trace.parent;
+                Alcotest.(check int) "commit.queue under the store span" parent.span.id
+                  queue.span.parent;
+                Alcotest.(check int) "commit.fsync under the store span" parent.span.id
+                  fsync.span.parent;
                 (* A lone committer leads immediately and pays the whole
                    delay window inside its own fsync span. *)
-                Alcotest.(check bool) "no leadership wait" true (queue.Trace.dur_ms >= 0.);
+                Alcotest.(check bool) "no leadership wait" true (queue.span.dur_ms >= 0.);
                 Alcotest.(check bool)
-                  (Printf.sprintf "fsync absorbs the delay window (%g ms)" fsync.Trace.dur_ms)
-                  true (fsync.Trace.dur_ms >= 5.);
+                  (Printf.sprintf "fsync absorbs the delay window (%g ms)" fsync.span.dur_ms)
+                  true (fsync.span.dur_ms >= 5.);
                 Alcotest.(check bool) "queue hands off to fsync" true
-                  (close_ms (queue.Trace.start_ms +. queue.Trace.dur_ms) fsync.Trace.start_ms);
+                  (close_ms (queue.Trace.start_ms +. queue.span.dur_ms) fsync.Trace.start_ms);
                 Alcotest.(check int) "waits move no private io" 0
                   (queue.Trace.total.Trace.reads + fsync.Trace.total.Trace.reads
                  + queue.Trace.total.Trace.writes + fsync.Trace.total.Trace.writes))));
@@ -605,7 +665,7 @@ let gate_tests =
         Domain.join writer;
         let r = match !report with Some r -> r | None -> Alcotest.fail "no report" in
         let span = find_span "gate.write" r in
-        Alcotest.(check (float 1e-9)) "blocked window" 10. span.Trace.dur_ms;
+        Alcotest.(check (float 1e-9)) "blocked window" 10. span.span.dur_ms;
         Alcotest.(check int) "waiting moved no io" 0 span.Trace.total.Trace.reads;
         let tr2 =
           Trace.create ~trace_id:"t-free" ~tenant:"t" ~kind:"query" ~detail:""
@@ -615,7 +675,7 @@ let gate_tests =
           ~io:(fun () -> Trace.zero_io)
           (fun () -> Rw_lock.with_read gate (fun () -> ()));
         let free = find_span "gate.read" (Trace.finish tr2) in
-        Alcotest.(check (float 1e-9)) "a free gate is a zero-length wait" 0. free.Trace.dur_ms);
+        Alcotest.(check (float 1e-9)) "a free gate is a zero-length wait" 0. free.span.dur_ms);
   ]
 
 (* ------------------------------------------------------------------ *)
