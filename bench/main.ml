@@ -449,17 +449,18 @@ let qb_planned_vs_naive corpus =
   let built = Harness.build ?obs:(mon_obs ()) ~page_size:8192 qb_series corpus in
   let engine = qb_engine built in
   let docs = built.Harness.docs in
-  List.map
-    (fun (name, path) ->
-      let hits, p, n = qb_measure_pair built engine ~docs (name, path) in
-      Printf.printf "%-8s %-28s %8d | %9d %9.0f | %9d %9.0f\n" name path hits p.Io_stats.reads
-        p.Io_stats.sim_ms n.Io_stats.reads n.Io_stats.sim_ms;
-      (name, path, hits, p, n))
-    [
-      ("q1", "//ACT[3]/SCENE[2]//SPEAKER");
-      ("q2", "/ACT/SCENE/SPEECH[1]");
-      ("q3", "/ACT[1]/SCENE[1]/SPEECH[1]");
-    ]
+  ( built,
+    List.map
+      (fun (name, path) ->
+        let hits, p, n = qb_measure_pair built engine ~docs (name, path) in
+        Printf.printf "%-8s %-28s %8d | %9d %9.0f | %9d %9.0f\n" name path hits p.Io_stats.reads
+          p.Io_stats.sim_ms n.Io_stats.reads n.Io_stats.sim_ms;
+        (name, path, hits, p, n))
+      [
+        ("q1", "//ACT[3]/SCENE[2]//SPEAKER");
+        ("q2", "/ACT/SCENE/SPEECH[1]");
+        ("q3", "/ACT[1]/SCENE[1]/SPEECH[1]");
+      ] )
 
 let qb_index_seed corpus =
   Printf.printf
@@ -788,11 +789,21 @@ let run_serve_bench corpus =
     ]
 
 let run_query_bench corpus =
-  let pvn = qb_planned_vs_naive corpus in
+  let built, pvn = qb_planned_vs_naive corpus in
   let seed = qb_index_seed corpus in
   let scan = qb_scan_pool corpus in
   J.Obj
     [
+      (* Work counters of the bench's own build (deterministic, so a CI
+         step can gate them exactly). *)
+      ( "build",
+        J.Obj
+          [
+            ("series", J.String (Harness.series_name qb_series));
+            ("page_size", J.Int 8192);
+            ("encoded_bytes", J.Int built.Harness.encoded_bytes);
+            ("patched_bytes", J.Int built.Harness.patched_bytes);
+          ] );
       ( "planned_vs_naive",
         J.List
           (List.map
@@ -847,6 +858,8 @@ let cell_json c =
       ("q1_io", io_json c.q1);
       ("q2_io", io_json c.q2);
       ("q3_io", io_json c.q3);
+      ("encoded_bytes", J.Int c.built.Harness.encoded_bytes);
+      ("patched_bytes", J.Int c.built.Harness.patched_bytes);
     ]
 
 (* One small instrumented build so the export also carries engine metrics

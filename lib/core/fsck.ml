@@ -13,6 +13,7 @@ let ok r = r.issues = []
 
 let describe = function
   | Failure m -> m
+  | Error.Error e -> Error.to_string e
   | Btree.Corrupt m -> Printf.sprintf "btree corrupt: %s" m
   | Disk.Bad_page { page; reason } -> Printf.sprintf "bad page %d: %s" page reason
   | e -> Printexc.to_string e

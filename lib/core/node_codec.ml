@@ -24,6 +24,31 @@ let write_literal b off (v : Phys_node.literal) =
   | Int64 v -> Bytes_util.set_i64 b off v
   | Float v -> Bytes_util.set_f64 b off v
 
+(* Write [n]'s content (children or payload) from offset [pos] of the
+   record body that starts at [base] in [b]; [self_off] is the offset of
+   [n]'s own header, which its children reference.  Returns the offset
+   after the content. *)
+let rec emit_content tbl b ~base pos self_off (n : Phys_node.t) =
+  match n.kind with
+  | Aggregate { children } | Frag_aggregate { children } ->
+    List.fold_left (fun pos c -> emit tbl b ~base pos self_off c) pos children
+  | Literal v ->
+    write_literal b (base + pos) v;
+    pos + Phys_node.literal_size v
+  | Proxy rid ->
+    Rid.write b (base + pos) rid;
+    pos + Rid.encoded_size
+
+(* Write [n] as an embedded node (header, then content) at record offset
+   [off]; its parent's header is at [parent_off]. *)
+and emit tbl b ~base off parent_off (n : Phys_node.t) =
+  Bytes_util.set_u16 b (base + off) (Node_type_table.index tbl (tag_of_node n) n.label);
+  Bytes_util.set_u16 b (base + off + 2) n.size;
+  Bytes_util.set_u16 b (base + off + 4) parent_off;
+  let stop = emit_content tbl b ~base (off + Phys_node.embedded_header_size) off n in
+  assert (stop = off + n.size);
+  stop
+
 let encode tbl ~parent_rid (root : Phys_node.t) =
   (match root.kind with
   | Proxy _ -> invalid_arg "Node_codec.encode: proxy root"
@@ -32,32 +57,30 @@ let encode tbl ~parent_rid (root : Phys_node.t) =
   let b = Bytes.create size in
   Bytes_util.set_u16 b 0 (Node_type_table.index tbl (tag_of_node root) root.label);
   Rid.write b parent_rid_offset parent_rid;
-  let pos = ref Phys_node.standalone_header_size in
   (* The root's header starts at offset 0; its children reference it. *)
-  let rec emit parent_off (n : Phys_node.t) =
-    let off = !pos in
-    Bytes_util.set_u16 b off (Node_type_table.index tbl (tag_of_node n) n.label);
-    Bytes_util.set_u16 b (off + 2) n.size;
-    Bytes_util.set_u16 b (off + 4) parent_off;
-    pos := off + Phys_node.embedded_header_size;
-    (match n.kind with
-    | Aggregate { children } | Frag_aggregate { children } -> List.iter (emit off) children
-    | Literal v ->
-      write_literal b !pos v;
-      pos := !pos + Phys_node.literal_size v
-    | Proxy rid ->
-      Rid.write b !pos rid;
-      pos := !pos + Rid.encoded_size);
-    assert (!pos = off + n.size)
-  in
-  (match root.kind with
-  | Aggregate { children } | Frag_aggregate { children } -> List.iter (emit 0) children
-  | Literal v ->
-    write_literal b !pos v;
-    pos := !pos + Phys_node.literal_size v
-  | Proxy _ -> assert false);
-  assert (!pos = size);
+  let stop = emit_content tbl b ~base:0 Phys_node.standalone_header_size 0 root in
+  assert (stop = size);
   Bytes.unsafe_to_string b
+
+let write_appended tbl b ~base (node : Phys_node.t) =
+  let host =
+    match node.parent with
+    | Some h -> h
+    | None -> invalid_arg "Node_codec.write_appended: node is a record root"
+  in
+  let total = Phys_node.record_size (Phys_node.record_root node) in
+  (* Every ancestor on the path ends where the record ends, so an embedded
+     one's header sits at [total - size]; the root's is at 0. *)
+  let header_of (a : Phys_node.t) = match a.parent with None -> 0 | Some _ -> total - a.size in
+  ignore (emit tbl b ~base (total - node.size) (header_of host) node);
+  let rec grow (a : Phys_node.t) written =
+    match a.parent with
+    | None -> written  (* the record root's size lives in its slot *)
+    | Some p ->
+      Bytes_util.set_u16 b (base + header_of a + 2) a.size;
+      grow p (written + 2)
+  in
+  grow host node.size
 
 let read_literal tag b off len : Phys_node.literal =
   match (tag : Node_type_table.content_tag) with

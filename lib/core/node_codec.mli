@@ -26,6 +26,16 @@ val parent_rid_offset : int
     @raise Invalid_argument on a proxy root. *)
 val encode : Node_type_table.t -> parent_rid:Rid.t -> Phys_node.t -> string
 
+(** [write_appended tbl image ~base node] finishes, in place, the body of
+    [node]'s record at offset [base] of [image], given that [node] is the
+    last node of its record in document order ({!Phys_node.ends_record})
+    and that the body's prefix holds the record's image from before
+    [node] was added: it writes [node]'s subtree at the end and the new
+    sizes of [node]'s embedded ancestors.  The result equals {!encode} of
+    the record.  Returns the number of bytes written.
+    @raise Invalid_argument if [node] is a record root. *)
+val write_appended : Node_type_table.t -> bytes -> base:int -> Phys_node.t -> int
+
 (** [decode tbl body] rebuilds the subtree and returns it with the parent
     record RID from the standalone header.  The returned nodes are fresh
     and carry correct cached sizes and parent links.

@@ -37,64 +37,97 @@ let tag_of_int = function
   | 9 -> Tag_uri
   | n -> invalid_arg (Printf.sprintf "Node_type_table: bad content tag %d" n)
 
-(* Shared across all transactions; interning is an append-only mutation
-   guarded by an internal leaf mutex (a holder never takes another
-   lock, so the mutex is outside any wait cycle). *)
-type t = {
-  lock : Mutex.t;
-  by_pair : (int * Label.t, int) Hashtbl.t;
-  mutable by_index : (content_tag * Label.t) array;
-  mutable count : int;
-}
+(* Shared across all transactions.  Lookups read an immutable snapshot
+   published through an atomic and take no lock; interning a new pair
+   runs under a leaf mutex (a holder never takes another lock) and
+   publishes a fresh snapshot, so an array, once published, is never
+   written again.
+
+   [slots] is an open-addressing table (power-of-two size, at most half
+   full) of packed words [(key lsl 16) lor index], [empty] marking a free
+   slot, over the int key [(label lsl 4) lor tag]; [entries] lists the
+   pairs by index. *)
+type snapshot = { slots : int array; entries : (content_tag * Label.t) array; count : int }
+
+type t = { lock : Mutex.t; snap : snapshot Atomic.t }
+
+let empty = -1
+let max_entries = 0x10000
+
+let key_of tag label =
+  if label < 0 || label > 0xffff_ffff then
+    invalid_arg (Printf.sprintf "Node_type_table: label %d out of range" label);
+  (label lsl 4) lor tag_to_int tag
+
+let home slots key = ((key * 0x9e3779b1) lsr 7) land (Array.length slots - 1)
+
+(* The index stored for [key], or -1. *)
+let find slots key =
+  let mask = Array.length slots - 1 in
+  let rec probe i =
+    let w = slots.(i) in
+    if w = empty then -1 else if w lsr 16 = key then w land 0xffff else probe ((i + 1) land mask)
+  in
+  probe (home slots key)
+
+let place slots key index =
+  let mask = Array.length slots - 1 in
+  let rec probe i =
+    if slots.(i) = empty then slots.(i) <- (key lsl 16) lor index else probe ((i + 1) land mask)
+  in
+  probe (home slots key)
 
 let create () =
   {
     lock = Mutex.create ();
-    by_pair = Hashtbl.create 64;
-    by_index = Array.make 64 (Tag_aggregate, 0);
-    count = 0;
+    snap = Atomic.make { slots = Array.make 128 empty; entries = [||]; count = 0 };
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let index t tag label =
-  let key = (tag_to_int tag, label) in
-  locked t (fun () ->
-      match Hashtbl.find_opt t.by_pair key with
-      | Some i -> i
-      | None ->
-        if t.count >= 0x10000 then failwith "Node_type_table: full (65536 entries)";
-        if t.count = Array.length t.by_index then begin
-          let bigger = Array.make (2 * t.count) (Tag_aggregate, 0) in
-          Array.blit t.by_index 0 bigger 0 t.count;
-          t.by_index <- bigger
-        end;
-        let i = t.count in
-        Hashtbl.replace t.by_pair key i;
-        t.by_index.(i) <- (tag, label);
-        t.count <- t.count + 1;
+let intern t key tag label =
+  Mutex.protect t.lock (fun () ->
+      let s = Atomic.get t.snap in
+      match find s.slots key with
+      | i when i >= 0 -> i
+      | _ ->
+        if s.count >= max_entries then failwith "Node_type_table: full (65536 entries)";
+        let i = s.count in
+        let slots =
+          if 2 * (i + 1) <= Array.length s.slots then Array.copy s.slots
+          else begin
+            let bigger = Array.make (2 * Array.length s.slots) empty in
+            Array.iteri (fun j (tag, label) -> place bigger (key_of tag label) j) s.entries;
+            bigger
+          end
+        in
+        place slots key i;
+        let entries = Array.append s.entries [| (tag, label) |] in
+        Atomic.set t.snap { slots; entries; count = i + 1 };
         i)
 
-let entry t i =
-  locked t (fun () ->
-      if i < 0 || i >= t.count then
-        invalid_arg (Printf.sprintf "Node_type_table: unknown index %d" i)
-      else t.by_index.(i))
+let index t tag label =
+  let key = key_of tag label in
+  match find (Atomic.get t.snap).slots key with
+  | i when i >= 0 -> i
+  | _ -> intern t key tag label
 
-let size t = locked t (fun () -> t.count)
+(* Every index handed out was published before [index] returned it. *)
+let entry t i =
+  let s = Atomic.get t.snap in
+  if i < 0 || i >= s.count then invalid_arg (Printf.sprintf "Node_type_table: unknown index %d" i)
+  else s.entries.(i)
+
+let size t = (Atomic.get t.snap).count
 
 let encode t =
-  locked t (fun () ->
-      let b = Bytes.create (2 + (t.count * 5)) in
-      Bytes_util.set_u16 b 0 t.count;
-      for i = 0 to t.count - 1 do
-        let tag, label = t.by_index.(i) in
-        Bytes_util.set_u8 b (2 + (5 * i)) (tag_to_int tag);
-        Bytes_util.set_u32 b (2 + (5 * i) + 1) label
-      done;
-      Bytes.unsafe_to_string b)
+  let s = Atomic.get t.snap in
+  let b = Bytes.create (2 + (s.count * 5)) in
+  Bytes_util.set_u16 b 0 s.count;
+  Array.iteri
+    (fun i (tag, label) ->
+      Bytes_util.set_u8 b (2 + (5 * i)) (tag_to_int tag);
+      Bytes_util.set_u32 b (2 + (5 * i) + 1) label)
+    s.entries;
+  Bytes.unsafe_to_string b
 
 let decode s =
   let b = Bytes.unsafe_of_string s in

@@ -29,10 +29,14 @@ type t
 val create : unit -> t
 
 (** [index t tag label] returns the entry's index, interning it if new.
-    @raise Failure after 65536 distinct entries. *)
+    Indices are assigned in interning order and never change.  Looking up
+    an interned pair takes no lock and allocates nothing; only interning
+    a new pair locks.  Safe to call from several domains at once.
+    @raise Failure after 65536 distinct entries.
+    @raise Invalid_argument if [label] does not fit in 32 bits. *)
 val index : t -> content_tag -> Label.t -> int
 
-(** [entry t idx] decodes an index.
+(** [entry t idx] decodes an index, without locking.
     @raise Invalid_argument on an unknown index. *)
 val entry : t -> int -> content_tag * Label.t
 

@@ -132,6 +132,17 @@ let rec record_root t =
   | None -> t
   | Some p -> record_root p
 
+let rec ends_record t =
+  match t.parent with
+  | None -> true
+  | Some p ->
+    let rec last = function
+      | [ c ] -> c == t
+      | _ :: rest -> last rest
+      | [] -> false
+    in
+    last (children p) && ends_record p
+
 (* A record body carries the standalone header on its root instead of the
    embedded one. *)
 let record_size t = t.size - embedded_header_size + standalone_header_size

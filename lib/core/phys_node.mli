@@ -105,6 +105,11 @@ val index_of : t -> t -> int
 (** Root of the record containing [t] (follows parents). *)
 val record_root : t -> t
 
+(** [ends_record t] holds when [t] is the last node of its record in
+    document order: the last child on every level up to the record root,
+    so its encoding closes the record's byte image. *)
+val ends_record : t -> bool
+
 (** The size the whole record body would occupy on disk. *)
 val record_size : t -> int
 

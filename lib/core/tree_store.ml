@@ -60,6 +60,8 @@ type t = {
   cache_lock : Mutex.t;  (* guards [cache] table operations; leaf *)
   splits : int Atomic.t;
   merges : int Atomic.t;
+  encoded_bytes : int Atomic.t;  (* record images built by full encodes *)
+  patched_bytes : int Atomic.t;  (* bytes written by in-place appends *)
   mutable listener : (Rid.t -> record_event -> unit) option;
   change_epoch : int Atomic.t;
       (* Count of record-level changes over the store's lifetime, persisted
@@ -93,6 +95,8 @@ let io_stats t = Disk.stats (Buffer_pool.disk t.pool)
 let max_record_size t = Config.max_record_size t.config
 let split_count t = Atomic.get t.splits
 let merge_count t = Atomic.get t.merges
+let encoded_bytes t = Atomic.get t.encoded_bytes
+let patched_bytes t = Atomic.get t.patched_bytes
 let obs t = t.obs
 
 let event_decision : Split_matrix.behaviour -> Natix_obs.Event.decision = function
@@ -237,6 +241,8 @@ let open_store ?(config = Config.default ()) disk =
     cache_lock = Mutex.create ();
     splits = Atomic.make 0;
     merges = Atomic.make 0;
+    encoded_bytes = Atomic.make 0;
+    patched_bytes = Atomic.make 0;
     listener = None;
     change_epoch = Atomic.make change_epoch;
     obs = Disk.obs disk;
@@ -262,6 +268,8 @@ let reader t =
     obs = None;
     splits = Atomic.make 0;
     merges = Atomic.make 0;
+    encoded_bytes = Atomic.make 0;
+    patched_bytes = Atomic.make 0;
     last_decision = Split_matrix.Other;
   }
 
@@ -603,9 +611,32 @@ let fetch t rid : Phys_node.box =
     with_cache t (fun () -> Rid.Tbl.replace t.cache rid box);
     box
 
+(* Work counters: bytes of record images built by full encodes, and bytes
+   written by in-place appends.  They depend only on the operations, not
+   on the machine. *)
+let count_work t counter metric bytes =
+  ignore (Atomic.fetch_and_add counter bytes);
+  match t.obs with
+  | None -> ()
+  | Some obs -> Natix_obs.Obs.incr obs ~by:bytes metric
+
+let encode t ~parent_rid root =
+  let body = Node_codec.encode t.catalog.Catalog.types ~parent_rid root in
+  count_work t t.encoded_bytes "codec.encoded_bytes" (String.length body);
+  body
+
 let flush_box t (box : Phys_node.box) =
-  let body = Node_codec.encode t.catalog.Catalog.types ~parent_rid:box.parent_rid box.root in
-  Record_manager.update t.rm box.rid body;
+  Record_manager.update t.rm box.rid (encode t ~parent_rid:box.parent_rid box.root);
+  notify t box.rid Changed
+
+(* [node] was just added as the last node of [box]'s record, which still
+   fits: finish the stored image in place instead of re-encoding it.  The
+   stored bytes equal a full encode before the insertion, so they do
+   after it (DESIGN.md, "Record image maintenance"). *)
+let append_box t (box : Phys_node.box) node =
+  Record_manager.append t.rm box.rid ~len:(Phys_node.record_size box.root) (fun image base ->
+      let written = Node_codec.write_appended t.catalog.Catalog.types image ~base node in
+      count_work t t.patched_bytes "codec.patched_bytes" written);
   notify t box.rid Changed
 
 (* Repoint the on-disk parent RID of a subtree record (cheap patch). *)
@@ -626,8 +657,7 @@ let rec iter_proxies (n : Phys_node.t) f =
 (* Create a record for [root] (which must fit) and adopt its proxy
    targets. *)
 let new_record t ?owner ?near ?policy ~parent_rid root : Phys_node.box =
-  let body = Node_codec.encode t.catalog.Catalog.types ~parent_rid root in
-  let rid = Record_manager.insert t.rm ?owner ?near ?policy body in
+  let rid = Record_manager.insert t.rm ?owner ?near ?policy (encode t ~parent_rid root) in
   let box = { Phys_node.rid; root; parent_rid } in
   root.Phys_node.box <- Some box;
   with_cache t (fun () -> Rid.Tbl.replace t.cache rid box);
@@ -660,7 +690,7 @@ let find_proxy (root : Phys_node.t) rid =
     | Aggregate _ | Frag_aggregate _ -> List.iter go (Phys_node.children n)
   in
   match go root with
-  | () -> failwith "Tree_store: dangling record (no proxy in parent)"
+  | () -> storage_error "Tree_store: dangling record %s (no proxy in parent)" (Rid.to_string rid)
   | exception Found n -> n
 
 (* A scaffolding grouping aggregate (not a fragment aggregate). *)
@@ -928,7 +958,7 @@ let partition_record t (box : Phys_node.box) ~dest ~materialize =
       let cs = Phys_node.children p in
       let boundary = match path_child with None -> d | Some c -> c in
       let rec split_at pre = function
-        | [] -> failwith "Tree_store.partition_record: path child missing"
+        | [] -> storage_error "Tree_store.partition_record: path child missing"
         | c :: rest when c == boundary -> (List.rev pre, rest)
         | c :: rest -> split_at (c :: pre) rest
       in
@@ -1014,7 +1044,7 @@ let rec grow_check t (box : Phys_node.box) =
     let host =
       match px.Phys_node.parent with
       | Some h -> h
-      | None -> failwith "Tree_store: proxy cannot be a record root"
+      | None -> storage_error "Tree_store: proxy cannot be a record root"
     in
     let idx = Phys_node.index_of host px in
     Phys_node.remove_child host px;
@@ -1065,7 +1095,7 @@ let rec try_merge t (box : Phys_node.box) =
         let host =
           match px.Phys_node.parent with
           | Some h -> h
-          | None -> failwith "Tree_store: proxy cannot be a record root"
+          | None -> storage_error "Tree_store: proxy cannot be a record root"
         in
         let idx = Phys_node.index_of host px in
         Phys_node.remove_child host px;
@@ -1107,7 +1137,10 @@ let payload_label = function
 
 let insert_embedded t host ~index node =
   Phys_node.insert_child host ~index node;
-  grow_check t (box_of t host)
+  let box = box_of t host in
+  if Phys_node.ends_record node && Phys_node.record_size box.root <= max_record_size t then
+    append_box t box node
+  else grow_check t box
 
 let insert_node t point payload =
   guard_mutate t;
@@ -1213,7 +1246,7 @@ let delete_node t (node : Phys_node.t) =
     | Some h ->
       Phys_node.remove_child h px;
       cleanup_scaffolds h
-    | None -> failwith "Tree_store: proxy cannot be a record root");
+    | None -> storage_error "Tree_store: proxy cannot be a record root");
     merge_around t pbox
 
 let update_text t (node : Phys_node.t) s =

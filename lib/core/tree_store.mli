@@ -246,6 +246,17 @@ val split_count : t -> int
 (** Number of record re-merges performed since the store was opened. *)
 val merge_count : t -> int
 
+(** Work counters since the store was opened: bytes of record images
+    produced by full {!Node_codec.encode} runs (new records, splits,
+    merges, deletions, text updates, mid-record inserts), and bytes
+    written by in-place appends (a node added as the last node of a
+    record that still fits; see {!Node_codec.write_appended}).  Also
+    counted into the observability handle as [codec.encoded_bytes] and
+    [codec.patched_bytes]. *)
+val encoded_bytes : t -> int
+
+val patched_bytes : t -> int
+
 (** Observability handle the store was opened with ({!Config.with_obs});
     [None] when tracing is disabled.  The handle's clock runs on the
     disk's simulated time. *)

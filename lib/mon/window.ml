@@ -7,23 +7,22 @@ type bucket = {
 
 type t = {
   bucket_ms : float;
-  buckets : bucket array;
+  buckets : bucket array;  (* [vacant] until first written *)
   edges : float array;  (* [||] = no histogram *)
 }
+
+(* Shared stand-in for a slot never written: empty, and never mutated.
+   A window gets its bucket records on first use, so the many windows
+   that only ever see a few buckets (one per document and series) stay
+   small. *)
+let vacant = { epoch = -1; count = 0; sum = 0.; hist = [||] }
 
 let create ~bucket_ms ~buckets ?(quantile_edges = [||]) () =
   if not (bucket_ms > 0.) then invalid_arg "Window.create: bucket_ms must be positive";
   if buckets <= 0 then invalid_arg "Window.create: buckets must be positive";
   if quantile_edges <> [||] && not (Natix_obs.Metrics.valid_edges quantile_edges) then
     invalid_arg "Window.create: quantile edges must be finite and strictly increasing";
-  let hist_len = if Array.length quantile_edges = 0 then 0 else Array.length quantile_edges + 1 in
-  {
-    bucket_ms;
-    buckets =
-      Array.init buckets (fun _ ->
-          { epoch = -1; count = 0; sum = 0.; hist = Array.make hist_len 0 });
-    edges = quantile_edges;
-  }
+  { bucket_ms; buckets = Array.make buckets vacant; edges = quantile_edges }
 
 let span_ms t = t.bucket_ms *. float_of_int (Array.length t.buckets)
 
@@ -39,7 +38,16 @@ let add t ~at_ms v =
   if Float.is_finite v && Float.is_finite at_ms then begin
     let epoch = abs_index t at_ms in
     let n = Array.length t.buckets in
-    let b = t.buckets.(((epoch mod n) + n) mod n) in
+    let slot = ((epoch mod n) + n) mod n in
+    let b =
+      match t.buckets.(slot) with
+      | b when b == vacant ->
+        let hist_len = if Array.length t.edges = 0 then 0 else Array.length t.edges + 1 in
+        let b = { vacant with hist = Array.make hist_len 0 } in
+        t.buckets.(slot) <- b;
+        b
+      | b -> b
+    in
     (* A slot whose epoch differs holds either a retired bucket (reuse it)
        or a newer one (the stamp is older than the window: drop). *)
     if b.epoch < epoch then reset_bucket b epoch;

@@ -310,10 +310,13 @@ let worker t w () =
         try execute t ?trace:ticket.trace ticket.tenant ticket.req
         with e -> Api.Err (Error.Storage ("dispatcher failure: " ^ Printexc.to_string e))
       in
-      answer ticket reply;
+      (* Count the request before waking its submitter, as the inline
+         path does: a caller that has its reply then sees it in the
+         stats. *)
       with_conn t (fun () ->
           t.running <- t.running - 1;
           t.served <- t.served + 1);
+      answer ticket reply;
       loop ()
   in
   loop ()

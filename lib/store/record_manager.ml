@@ -9,9 +9,7 @@ let segment t = t.seg
 let obs t = t.obs
 let max_len t = Segment.max_record_len t.seg
 
-let check_len t data =
-  let len = String.length data in
-  if len > max_len t then raise (Record_too_large len)
+let check_len t len = if len > max_len t then raise (Record_too_large len)
 
 let tombstone_body rid =
   let b = Bytes.create Rid.encoded_size in
@@ -33,7 +31,7 @@ let place t ?owner ?near ?policy data flags =
       | None -> failwith "Record_manager.place: inventory out of sync")
 
 let insert t ?owner ?near ?policy data =
-  check_len t data;
+  check_len t (String.length data);
   let rid = place t ?owner ?near ?policy data Slotted_page.no_flags in
   (match t.obs with
   | None -> ()
@@ -95,24 +93,53 @@ let relocate t rid data =
   in
   assert forwarded
 
-let update t rid data =
-  check_len t data;
-  match forward_target t rid with
-  | None ->
-    if not (try_write t (Rid.page rid) (Rid.slot rid) data Slotted_page.no_flags) then
-      relocate t rid data
+(* The rest of an update once the page holding the body refused the new
+   one: move the body back home if it is forwarded and fits there, else
+   elsewhere behind a tombstone. *)
+let resettle t rid forward data =
+  match forward with
+  | None -> relocate t rid data
   | Some target ->
-    (* Try the current out-of-home location first. *)
-    if not (try_write t (Rid.page target) (Rid.slot target) data Slotted_page.moved_flag) then begin
-      (* Does it fit back home (collapsing the forwarding)? *)
-      let home_fits =
-        Segment.with_page_mut t.seg (Rid.page rid) (fun b ->
-            Slotted_page.write b (Rid.slot rid) data Slotted_page.no_flags)
-      in
-      Segment.with_page_mut t.seg (Rid.page target) (fun b ->
-          Slotted_page.delete b (Rid.slot target));
-      if not home_fits then relocate t rid data
-    end
+    let home_fits =
+      Segment.with_page_mut t.seg (Rid.page rid) (fun b ->
+          Slotted_page.write b (Rid.slot rid) data Slotted_page.no_flags)
+    in
+    Segment.with_page_mut t.seg (Rid.page target) (fun b ->
+        Slotted_page.delete b (Rid.slot target));
+    if not home_fits then relocate t rid data
+
+(* The slot holding [rid]'s body (its own, or the forwarded one) and the
+   flags that slot carries. *)
+let body_slot rid = function
+  | None -> (rid, Slotted_page.no_flags)
+  | Some target -> (target, Slotted_page.moved_flag)
+
+let update t rid data =
+  check_len t (String.length data);
+  let forward = forward_target t rid in
+  let at, flags = body_slot rid forward in
+  if not (try_write t (Rid.page at) (Rid.slot at) data flags) then resettle t rid forward data
+
+let append t rid ~len fill =
+  check_len t len;
+  let forward = forward_target t rid in
+  let at, flags = body_slot rid forward in
+  let refused =
+    Segment.with_page_mut t.seg (Rid.page at) (fun b ->
+        match Slotted_page.resize b (Rid.slot at) ~keep:len len flags with
+        | Some off ->
+          fill b off;
+          None
+        | None ->
+          (* The body must leave this page: build the whole new image for
+             the same path [update] takes. *)
+          let off, old_len, _ = Slotted_page.read b (Rid.slot at) in
+          let image = Bytes.create len in
+          Bytes.blit b off image 0 old_len;
+          fill image 0;
+          Some (Bytes.unsafe_to_string image))
+  in
+  Option.iter (resettle t rid forward) refused
 
 let patch t rid ~off data =
   let write_at page slot =

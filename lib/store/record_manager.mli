@@ -46,6 +46,15 @@ val with_record : t -> Rid.t -> (bytes -> off:int -> len:int -> 'a) -> 'a
     @raise Record_too_large if [data] exceeds {!max_len}. *)
 val update : t -> Rid.t -> string -> unit
 
+(** [append t rid ~len fill] grows the record to [len] bytes, keeping its
+    current body as the prefix, and calls [fill image off] with the new
+    body at [off] in [image] (its old bytes first, the rest unset) to
+    finish it in place.  Placement, page accesses and the resulting page
+    bytes are those of [update t rid] with the finished body: the append
+    saves building and copying the body, nothing else.
+    @raise Record_too_large if [len] exceeds {!max_len}. *)
+val append : t -> Rid.t -> len:int -> (bytes -> int -> unit) -> unit
+
 (** [patch t rid ~off data] overwrites [length data] bytes of the record
     body in place at offset [off], without resizing.  Used for cheap
     in-record pointer updates (e.g. reparenting a subtree record).

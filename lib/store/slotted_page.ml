@@ -206,29 +206,58 @@ let delete b i =
   free_extent b off (extent len);
   release_slot b i
 
-let write b i data flags =
+(* Per-domain buffer holding a record body across a compaction that
+   could overwrite it in place. *)
+let scratch_key = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
+let scratch len =
+  let r = Domain.DLS.get scratch_key in
+  if Bytes.length !r < len then r := Bytes.create len;
+  !r
+
+let resize b i ~keep new_len flags =
   let off, len, _old = read b i in
-  let new_len = String.length data in
   assert (new_len > 0);
+  let keep = min keep (min len new_len) in
   let old_ext = extent len and new_ext = extent new_len in
   if new_ext <= old_ext then begin
     (* Shrink in place; the tail becomes an interior gap. *)
-    Bytes.blit_string data 0 b off new_len;
     if new_ext < old_ext then set_gap_bytes b (gap_bytes b + (old_ext - new_ext));
     set_entry b i ~off ~len:new_len ~flags;
-    true
+    Some off
   end
-  else if total_free b + old_ext < new_ext then false
+  else if total_free b + old_ext < new_ext then None
   else begin
     (* Free the old extent first so compaction can reclaim it; mark the
-       slot free meanwhile so [compact] skips the stale extent. *)
+       slot free meanwhile so [compact] skips the stale extent.  Without
+       compaction the kept prefix is still in place (a possibly
+       overlapping blit moves it); compaction may overwrite it, so it
+       waits in the scratch buffer. *)
     free_extent b off old_ext;
     set_free b i;
+    let saved =
+      if keep > 0 && contiguous b < new_ext then begin
+        let s = scratch keep in
+        Bytes.blit b off s 0 keep;
+        Some s
+      end
+      else None
+    in
     let new_off = place b new_ext in
-    Bytes.blit_string data 0 b new_off new_len;
+    (match saved with
+    | Some s -> Bytes.blit s 0 b new_off keep
+    | None -> if keep > 0 then Bytes.blit b off b new_off keep);
     set_entry b i ~off:new_off ~len:new_len ~flags;
-    true
+    Some new_off
   end
+
+let write b i data flags =
+  let len = String.length data in
+  match resize b i ~keep:0 len flags with
+  | Some off ->
+    Bytes.blit_string data 0 b off len;
+    true
+  | None -> false
 
 let check b =
   let page_size = Bytes.length b in

@@ -71,6 +71,14 @@ val is_live : bytes -> int -> bool
     size does not fit on the page; the old record is then left intact. *)
 val write : bytes -> int -> string -> flags -> bool
 
+(** [resize page slot ~keep len flags] gives the record room for [len]
+    bytes exactly as {!write} would for data of that length (same extent,
+    same compaction, same offset) and returns the offset of its body, or
+    [None] if it does not fit (the old record is then left intact).  The
+    first [keep] bytes of the old body (capped at both lengths) reappear
+    at the returned offset; the rest is left for the caller to fill. *)
+val resize : bytes -> int -> keep:int -> int -> flags -> int option
+
 val delete : bytes -> int -> unit
 
 (** [iter page f] applies [f slot offset length flags] to each live record. *)

@@ -26,6 +26,8 @@ type built = {
   disk_bytes : int;
   splits : int;
   nodes : int;
+  encoded_bytes : int;
+  patched_bytes : int;
 }
 
 let build ~page_size ?(buffer_bytes = 2 * 1024 * 1024) ?(merge_threshold = 0.5) ?(read_ahead = 0)
@@ -68,6 +70,8 @@ let build ~page_size ?(buffer_bytes = 2 * 1024 * 1024) ?(merge_threshold = 0.5) 
     disk_bytes = Stats.disk_bytes store;
     splits = Tree_store.split_count store;
     nodes;
+    encoded_bytes = Tree_store.encoded_bytes store;
+    patched_bytes = Tree_store.patched_bytes store;
   }
 
 let measure built f =

@@ -28,6 +28,8 @@ type built = {
   disk_bytes : int;  (** Fig. 14 metric *)
   splits : int;
   nodes : int;  (** logical nodes inserted *)
+  encoded_bytes : int;  (** {!Tree_store.encoded_bytes} after the build *)
+  patched_bytes : int;  (** {!Tree_store.patched_bytes} after the build *)
 }
 
 (** [build ~page_size series corpus] creates a fresh in-memory store and

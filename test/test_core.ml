@@ -875,3 +875,237 @@ let navigation_property_tests =
   ]
 
 let suites = suites @ [ ("core.navigation_props", navigation_property_tests) ]
+
+(* ------------------------------------------------------------------ *)
+(* Page-image golden digests                                           *)
+
+(* Digest of every raw page image of a store built by a preorder load
+   of a two-play corpus, after its closing [sync].  Page layout and
+   contents depend on every placement, split, compaction and eviction
+   of the load, so any change to how record images are produced that
+   moves a byte shows up here.  The recorded values were taken when every
+   insert still re-encoded its whole record: appends patched in place
+   must leave each page byte as that full encode did. *)
+let preorder_page_digest matrix =
+  let corpus = Natix_workload.Shakespeare.generate (Natix_workload.Shakespeare.scaled 0.03) in
+  let built =
+    Natix_workload.Harness.build ~page_size:2048 ~buffer_bytes:(64 * 1024)
+      { Natix_workload.Harness.matrix; order = Loader.Preorder }
+      corpus
+  in
+  let store = built.Natix_workload.Harness.store in
+  let disk = Natix_store.Buffer_pool.disk (Tree_store.buffer_pool store) in
+  let page = Bytes.create (Natix_store.Disk.page_size disk) in
+  let all = Buffer.create (Natix_store.Disk.size_bytes disk) in
+  for p = 0 to Natix_store.Disk.page_count disk - 1 do
+    Natix_store.Disk.read_raw disk p page;
+    Buffer.add_bytes all page
+  done;
+  (Natix_store.Disk.page_count disk, Digest.to_hex (Digest.string (Buffer.contents all)))
+
+let golden_tests =
+  [
+    Alcotest.test_case "1:n preorder load: page images match the recorded digest" `Quick (fun () ->
+        let pages, digest = preorder_page_digest Natix_workload.Harness.Native in
+        Alcotest.(check (pair int string))
+          "pages, digest" (245, "0252cd6f43c02e638d0d3e1e57c31aba") (pages, digest));
+    Alcotest.test_case "1:1 preorder load: page images match the recorded digest" `Quick (fun () ->
+        let pages, digest = preorder_page_digest Natix_workload.Harness.One_to_one in
+        Alcotest.(check (pair int string))
+          "pages, digest" (446, "66ccc93cd607b13446178c0e006783ca") (pages, digest));
+  ]
+
+let suites = suites @ [ ("core.golden", golden_tests) ]
+
+(* ------------------------------------------------------------------ *)
+(* Work counters and record-image maintenance                          *)
+
+let native_build order =
+  let corpus = Natix_workload.Shakespeare.generate (Natix_workload.Shakespeare.scaled 0.03) in
+  let _, xml_bytes = Natix_workload.Shakespeare.corpus_measure corpus in
+  let built =
+    Natix_workload.Harness.build ~page_size:8192
+      { Natix_workload.Harness.matrix = Native; order }
+      corpus
+  in
+  (xml_bytes, built)
+
+(* Every record of document [doc]: its stored bytes equal a full encode of
+   the cached tree.  [fetch] serves cached records from the decoded-record
+   cache, so the mutated trees are the ones compared. *)
+let stored_images_match store doc =
+  let rm = Tree_store.record_manager store in
+  let types = (Tree_store.catalog store).Catalog.types in
+  let ok = ref true in
+  (match Tree_store.document_rid store doc with
+  | None -> ok := false
+  | Some rid ->
+    Tree_store.iter_records store rid (fun rid root _depth ->
+        let box = Tree_store.fetch store rid in
+        let expected = Node_codec.encode types ~parent_rid:box.Phys_node.parent_rid root in
+        if not (String.equal (Natix_store.Record_manager.read rm rid) expected) then ok := false));
+  !ok
+
+type mutation =
+  | Insert_first of int * bool  (* element index, element or text payload *)
+  | Insert_after of int * bool
+  | Graft of int
+  | Delete of int
+  | Retext of int * string
+
+let pp_mutation = function
+  | Insert_first (i, e) -> Printf.sprintf "insert_first %d %b" i e
+  | Insert_after (i, e) -> Printf.sprintf "insert_after %d %b" i e
+  | Graft i -> Printf.sprintf "graft %d" i
+  | Delete i -> Printf.sprintf "delete %d" i
+  | Retext (i, s) -> Printf.sprintf "retext %d %S" i s
+
+let gen_mutation =
+  QCheck2.Gen.(
+    let idx = int_bound 1000 in
+    oneof
+      [
+        map2 (fun i e -> Insert_first (i, e)) idx bool;
+        map2 (fun i e -> Insert_after (i, e)) idx bool;
+        map (fun i -> Graft i) idx;
+        map (fun i -> Delete i) idx;
+        map2 (fun i s -> Retext (i, s)) idx (string_size ~gen:printable (int_range 1 300));
+      ])
+
+(* Apply one mutation to a node picked (by index, modulo the candidates)
+   among the document's current nodes; a mutation with no candidate is a
+   no-op. *)
+let apply_mutation store doc m =
+  let root = Option.get (Cursor.of_document store doc) in
+  let all = List.of_seq (Cursor.descendants_or_self root) in
+  let pick keep i =
+    match List.filter keep all with
+    | [] -> None
+    | cs -> Some (Cursor.node (List.nth cs (i mod List.length cs)))
+  in
+  let not_root c = Cursor.node c != Cursor.node root in
+  let payload elem =
+    if elem then Tree_store.Elem (Tree_store.label store "N") else Tree_store.Text "fresh text"
+  in
+  match m with
+  | Insert_first (i, elem) ->
+    Option.iter
+      (fun n -> ignore (Tree_store.insert_node store (Tree_store.First_under n) (payload elem)))
+      (pick Cursor.is_element i)
+  | Insert_after (i, elem) ->
+    Option.iter
+      (fun n -> ignore (Tree_store.insert_node store (Tree_store.After n) (payload elem)))
+      (pick not_root i)
+  | Graft i ->
+    Option.iter
+      (fun n ->
+        ignore
+          (Loader.insert_fragment store (Tree_store.First_under n)
+             (Xml_parser.parse "<G><H>grafted</H><H>twice</H></G>")))
+      (pick Cursor.is_element i)
+  | Delete i -> Option.iter (Tree_store.delete_node store) (pick not_root i)
+  | Retext (i, s) ->
+    Option.iter
+      (fun n -> Tree_store.update_text store n s)
+      (pick (fun c -> Cursor.is_text c && not (Cursor.is_attribute c)) i)
+
+let work_counter_tests =
+  [
+    Alcotest.test_case "a 1:n preorder load encodes at most 4x its XML bytes" `Quick (fun () ->
+        let xml_bytes, built = native_build Loader.Preorder in
+        let encoded = built.Natix_workload.Harness.encoded_bytes in
+        if encoded > 4 * xml_bytes then
+          Alcotest.failf "encoded %d bytes for %d bytes of XML" encoded xml_bytes;
+        Alcotest.(check bool)
+          "appends are patched in place" true
+          (built.Natix_workload.Harness.patched_bytes > 0));
+    Alcotest.test_case "a 1:n BFS load still counts its full encodes" `Quick (fun () ->
+        (* BFS inserts land in the middle of records, which takes the full
+           encode: the counter must see each one. *)
+        let xml_bytes, built = native_build Loader.Bfs_binary in
+        let encoded = built.Natix_workload.Harness.encoded_bytes in
+        if encoded <= 4 * xml_bytes then
+          Alcotest.failf "only %d encoded bytes for %d bytes of XML" encoded xml_bytes);
+    Alcotest.test_case "the counters reach the observability handle" `Quick (fun () ->
+        let obs = Natix_obs.Obs.create () in
+        let config = { (Config.default ()) with Config.page_size = 512; obs = Some obs } in
+        let store = Tree_store.in_memory ~config () in
+        let _ = Loader.load store ~name:"d" (Xml_parser.parse sample_doc) in
+        let metrics = Natix_obs.Obs.metrics obs in
+        Alcotest.(check int) "encoded" (Tree_store.encoded_bytes store)
+          (Natix_obs.Metrics.counter metrics "codec.encoded_bytes");
+        Alcotest.(check int) "patched" (Tree_store.patched_bytes store)
+          (Natix_obs.Metrics.counter metrics "codec.patched_bytes"));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:100
+         ~name:"stored images equal a full encode after every mutation"
+         ~print:(fun ((page_size, bfs, merge), (specs, ops)) ->
+           Printf.sprintf "page %d, %s, merge %b, %d children, ops: %s" page_size
+             (if bfs then "bfs" else "preorder") merge (List.length specs)
+             (String.concat "; " (List.map pp_mutation ops)))
+         QCheck2.Gen.(
+           pair
+             (triple (int_range 512 2048) bool bool)
+             (pair
+                (list_size (int_range 1 25)
+                   (pair (int_bound 5) (string_size ~gen:printable (int_range 1 60))))
+                (list_size (int_range 1 25) gen_mutation)))
+         (fun ((page_size, bfs, merge), (specs, ops)) ->
+           let doc =
+             Xml_tree.element "R"
+               (List.map
+                  (fun (kind, text) ->
+                    match kind with
+                    | 0 -> Xml_tree.text text
+                    | 1 -> Xml_tree.element "A" [ Xml_tree.text text ]
+                    | 2 -> Xml_tree.element "B" [ Xml_tree.element "C" [ Xml_tree.text text ] ]
+                    | 3 -> Xml_tree.element ~attrs:[ ("k", text) ] "D" []
+                    | _ -> Xml_tree.element "E" (List.init 3 (fun _ -> Xml_tree.text text)))
+                  specs)
+           in
+           let store = mem_store ~page_size ~merge_threshold:(if merge then 0.5 else 0.) () in
+           let order = if bfs then Loader.Bfs_binary else Loader.Preorder in
+           let _ = Loader.load store ~name:"d" ~order doc in
+           let check step =
+             if not (stored_images_match store "d") then
+               QCheck2.Test.fail_reportf "stored image differs from a full encode after %s" step;
+             let report = Fsck.run store in
+             if not (Fsck.ok report) then
+               QCheck2.Test.fail_reportf "fsck after %s: %s" step
+                 (Format.asprintf "%a" Fsck.pp report)
+           in
+           check "the load";
+           List.iter
+             (fun m ->
+               apply_mutation store "d" m;
+               check (pp_mutation m))
+             ops;
+           true));
+  ]
+
+let suites = suites @ [ ("core.work_counters", work_counter_tests) ]
+
+let type_table_tests =
+  [
+    Alcotest.test_case "concurrent interning agrees on every index" `Quick (fun () ->
+        let tbl = Node_type_table.create () in
+        let tags = Node_type_table.[| Tag_aggregate; Tag_str; Tag_proxy; Tag_int32 |] in
+        (* Four domains intern the same 2,000 pairs in different orders;
+           the table grows several times meanwhile. *)
+        let pairs = List.init 2000 (fun i -> (tags.(i mod 4), i / 4)) in
+        let run k () =
+          let order = if k mod 2 = 0 then pairs else List.rev pairs in
+          List.map (fun (tag, l) -> ((tag, l), Node_type_table.index tbl tag l)) order
+          |> List.sort compare
+        in
+        let results = List.map Domain.join (List.init 4 (fun k -> Domain.spawn (run k))) in
+        let first = List.hd results in
+        List.iter (fun r -> Alcotest.(check bool) "same indices" true (r = first)) results;
+        Alcotest.(check int) "one entry per pair" 2000 (Node_type_table.size tbl);
+        List.iter
+          (fun (pair, i) ->
+            Alcotest.(check bool) "entry inverts index" true (Node_type_table.entry tbl i = pair))
+          first);
+  ]
+
+let suites = suites @ [ ("core.type_table", type_table_tests) ]
